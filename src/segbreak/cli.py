@@ -22,6 +22,7 @@ import sys
 import numpy as np
 
 from .errors import (
+    ConsistencyError,
     DegenerateInputError,
     DimensionMismatchError,
     EmptySegmentError,
@@ -74,6 +75,7 @@ _INPUT_ERRORS = (
     OSError,
 )
 _NUMERICAL_ERRORS = (
+    ConsistencyError,
     NoConvergenceError,
     SingularGramError,
     SingularSystemError,

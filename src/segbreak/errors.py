@@ -59,5 +59,12 @@ class TooManyFailuresError(SegbreakError):
     """More than the tolerated fraction of Monte Carlo replications failed."""
 
 
+class ConsistencyError(SegbreakError):
+    """An internal consistency check failed: a solver's objective rose, a
+    refit drifted from the score the search found, or an exact search
+    scored worse than the true breakpoints.  Raised in place of an
+    ``assert`` so that the check also runs under ``python -O``."""
+
+
 class WindowTooSmallWarning(UserWarning):
     """The truncation window of the limit-law sampler absorbs too much mass."""

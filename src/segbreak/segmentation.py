@@ -4,16 +4,25 @@ The score of a candidate breakpoint vector is the sum over its segments of
 the attained per-segment penalized minimum, with the tuning constant
 ``lambda = (segment length)**rho`` recomputed for every candidate segment.
 ``optimal_breakpoints`` minimizes the score exactly by dynamic programming
-over a table of all admissible segment costs; ties resolve to the
-lexicographically smallest breakpoint vector.
+over a table of segment costs; ties resolve to the lexicographically
+smallest breakpoint vector.
 
-The cost table is filled by a vectorized engine that works on cumulative
+Cost tables are filled by a vectorized engine that works on cumulative
 sufficient statistics (running X'X, X'y, y'y), so each candidate segment
 costs O(p^2) regardless of its length.  The engine mirrors the scalar
 ``segment_cost`` semantics; coherence between the two paths is part of the
-test suite.  ``refit_breakpoints_two_stage`` is an explicitly approximate
-alternative for long series: a coarse grid search followed by local
-refinement of each breakpoint.
+test suite.  ``build_cost_table`` solves every admissible segment, which
+``select_k`` shares across K values.  A single exact K-break search
+instead solves only the segments that can lie on an optimal partition:
+every segment's cost is bounded below by its unpenalized least-squares
+RSS, a forward and a backward pass over those bounds give the least bound
+total of a K-partition through each segment, and a segment whose best
+bound exceeds the attained score of an incumbent partition (plus a
+rounding slack of ``1e-9 * y'y``) is never solved.  The search over the
+pruned table returns the same breakpoints and score as over the dense one;
+``optimal_breakpoints`` gives the argument.  ``refit_breakpoints_two_stage``
+is an explicitly approximate alternative for long series: a coarse grid
+search followed by local refinement of each breakpoint.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ import numpy as np
 
 from .errors import (
     AdaptiveUnavailableError,
+    ConsistencyError,
     EmptySegmentError,
     InfeasiblePartitionError,
     SingularGramError,
@@ -313,36 +323,34 @@ def pair_costs(dataset: Dataset, pairs, config: PenaltyConfig) -> np.ndarray:
     return costs
 
 
+def _gram_rss(G, b, yy, phi):
+    """Residual sum of squares ``yy - 2 b'phi + phi'G phi`` of each
+    Gram-form problem in a stack, floored at 0."""
+    return np.maximum(
+        yy - 2.0 * np.einsum("ij,ij->i", b, phi)
+        + np.einsum("ij,ijk,ik->i", phi, G, phi),
+        0.0,
+    )
+
+
 def _chunk_costs(dataset, pairs, G, b, yy, lengths, lam, config):
     p = b.shape[1]
     if config.lambda_scale == 0.0:
         phi = np.einsum("ijk,ik->ij", np.linalg.pinv(G, hermitian=True), b)
-        quad = yy - 2.0 * np.einsum("ij,ij->i", b, phi) + np.einsum(
-            "ij,ijk,ik->i", phi, G, phi
-        )
-        return np.maximum(quad, 0.0)
+        return _gram_rss(G, b, yy, phi)
 
     if config.family == FAMILY_ADAPTIVE:
         w = _batch_adaptive_weights(G, b, lengths, p, config.g)
     elif config.gamma == 2.0:
         A = G + lam[:, None, None] * np.eye(p)
         phi = np.linalg.solve(A, b[..., None])[..., 0]
-        quad = np.maximum(
-            yy - 2.0 * np.einsum("ij,ij->i", b, phi)
-            + np.einsum("ij,ijk,ik->i", phi, G, phi),
-            0.0,
-        )
-        return quad + lam * np.einsum("ij,ij->i", phi, phi)
+        return _gram_rss(G, b, yy, phi) + lam * np.einsum("ij,ij->i", phi, phi)
     else:
         w = np.ones((b.shape[0], p))
 
     thr = lam[:, None] * w / 2.0
     phi, stubborn = _batch_cd(G, b, thr, config.cd_tolerance, config.cd_max_iterations)
-    quad = np.maximum(
-        yy - 2.0 * np.einsum("ij,ij->i", b, phi)
-        + np.einsum("ij,ijk,ik->i", phi, G, phi),
-        0.0,
-    )
+    quad = _gram_rss(G, b, yy, phi)
     with np.errstate(invalid="ignore"):
         terms = w * np.abs(phi)
     terms = np.where(phi == 0.0, 0.0, terms)
@@ -407,6 +415,114 @@ def _dp_minimize(cost: np.ndarray, k: int):
     return float(total), nodes
 
 
+# ---------------------------------------------------------------------------
+# bound-based pruning of the exact search
+
+# Relative shift of the Gram matrices in the least-squares bound; see
+# _rss_bounds.  It equals the floor of ``solvers.ols``, so every segment that
+# ols rejects as singular gets the bound 0.
+_BOUND_COND_FLOOR = solvers._GRAM_COND_FLOOR
+# Rounding allowance of the bounds and of the pruning test, as a fraction of
+# the sample's total y'y (which exceeds every partition's cost).
+_BOUND_SLACK = 1e-9
+
+
+def _rss_bounds(stats, pairs, slack: float) -> np.ndarray:
+    """Lower bound on the cost of each segment in ``pairs``.
+
+    Every penalized fit of a segment leaves at least the segment's
+    unpenalized least-squares residual sum of squares ``yy - b'G^-1 b``,
+    whatever the family.  The bound is ``yy - b'(G - tau I)^-1 b`` less
+    ``slack``, floored at 0, with ``tau = _BOUND_COND_FLOOR * trace(G)``:
+    shifting G down can only lower the value, and the shift outweighs the
+    rounding of the Cholesky factorization that computes it by orders of
+    magnitude.  The factorization runs column by column over the whole
+    chunk.  A segment whose shifted Gram matrix is not positive definite,
+    as happens when its smallest eigenvalue is below ``tau`` and so for
+    every segment ``solvers.ols`` rejects, gets the bound 0, which is
+    always valid.
+    """
+    cum_xx, cum_xy, cum_yy = stats
+    p = cum_xy.shape[1]
+    out = np.zeros(len(pairs))
+    chunk = _chunk_size(p)
+    for lo in range(0, len(pairs), chunk):
+        j1, j2 = pairs[lo : lo + chunk, 0], pairs[lo : lo + chunk, 1]
+        # Cholesky factor L of G - tau I, built in the lower triangle of G;
+        # b becomes L^-1 b, so that b'(G - tau I)^-1 b is its squared norm
+        G = cum_xx[j2] - cum_xx[j1]
+        b = cum_xy[j2] - cum_xy[j1]
+        yy = cum_yy[j2] - cum_yy[j1]
+        tau = _BOUND_COND_FLOOR * np.trace(G, axis1=1, axis2=2)
+        ok = tau > 0.0
+        for k in range(p):
+            row = G[:, k, :k]
+            pivot = G[:, k, k] - tau - np.einsum("ij,ij->i", row, row)
+            ok &= pivot > 0.0
+            root = np.sqrt(np.where(ok, pivot, 1.0))
+            G[:, k + 1 :, k] -= np.einsum("irj,ij->ir", G[:, k + 1 :, :k], row)
+            G[:, k + 1 :, k] /= root[:, None]
+            b[:, k] = (b[:, k] - np.einsum("ij,ij->i", b[:, :k], row)) / root
+        rss = yy - np.einsum("ij,ij->i", b, b)
+        out[lo : lo + chunk] = np.where(ok, np.maximum(rss - slack, 0.0), 0.0)
+    return out
+
+
+def _least_through(table: np.ndarray, k: int) -> np.ndarray:
+    """Least ``table`` total of a (k+1)-segment partition through each segment.
+
+    Entry [i, j] is the minimum, over the partitions of node 0 .. last node
+    into k + 1 segments that use the segment from node i to node j, of the
+    summed entries; +inf where no such partition exists.
+    """
+    n_nodes = table.shape[0]
+    # fwd[s, j]: s segments from node 0 to j; bwd[s, j]: s segments from j to the end
+    fwd = np.full((k + 1, n_nodes), np.inf)
+    bwd = np.full((k + 1, n_nodes), np.inf)
+    fwd[0, 0] = 0.0
+    bwd[0, -1] = 0.0
+    for s in range(1, k + 1):
+        fwd[s] = np.min(fwd[s - 1][:, None] + table, axis=0)
+        bwd[s] = np.min(table + bwd[s - 1][None, :], axis=1)
+    through = np.full(table.shape, np.inf)
+    for s in range(k + 1):
+        np.minimum(through, fwd[s][:, None] + bwd[k - s][None, :], out=through)
+    return through + table
+
+
+def _pruned_cost_table(
+    dataset: Dataset, k: int, config: PenaltyConfig, min_seg_len: int
+) -> np.ndarray:
+    """Cost table for the exact K-break search, filled only where needed.
+
+    Entries hold the ``pair_costs`` cost of every segment whose best
+    bounded partition can still reach the incumbent's score, and +inf
+    elsewhere; ``optimal_breakpoints`` explains why the search over it is
+    exact.
+    """
+    n = dataset.n
+    idx = np.arange(n + 1)
+    reachable = np.where(idx[None, :] - idx[:, None] >= min_seg_len, 0.0, np.inf)
+    j1, j2 = np.nonzero(np.isfinite(_least_through(reachable, k)))
+    stats = _cumulative_stats(dataset)
+    slack = _BOUND_SLACK * float(stats[2][-1])
+    lower = np.full((n + 1, n + 1), np.inf)
+    lower[j1, j2] = _rss_bounds(stats, np.column_stack([j1, j2]), slack)
+
+    _, nodes = _dp_minimize(lower, k)
+    ends = np.array([0, *nodes, n], dtype=np.int64)
+    incumbent = np.column_stack([ends[:-1], ends[1:]])
+    incumbent_costs = pair_costs(dataset, incumbent, config)
+
+    keep = _least_through(lower, k) <= incumbent_costs.sum() + slack
+    keep[incumbent[:, 0], incumbent[:, 1]] = False
+    j1, j2 = np.nonzero(keep)
+    table = np.full((n + 1, n + 1), np.inf)
+    table[incumbent[:, 0], incumbent[:, 1]] = incumbent_costs
+    table[j1, j2] = pair_costs(dataset, np.column_stack([j1, j2]), config)
+    return table
+
+
 def _assemble_fit(
     dataset: Dataset,
     breakpoints,
@@ -420,10 +536,11 @@ def _assemble_fit(
     fits = tuple(segment_cost(dataset, r, config, weight_cache=cache) for r in ranges)
     total = float(sum(f.penalized_cost for f in fits))
     if expected_total is not None:
-        assert abs(total - expected_total) <= 1e-9 * max(1.0, abs(expected_total)), (
-            f"segment refit total {total!r} drifted from search total "
-            f"{expected_total!r}"
-        )
+        if not abs(total - expected_total) <= 1e-9 * max(1.0, abs(expected_total)):
+            raise ConsistencyError(
+                f"segment refit total {total!r} drifted from search total "
+                f"{expected_total!r}"
+            )
     return ChangePointFit(
         k=len(ranges) - 1,
         breakpoints=tuple(breakpoints),
@@ -451,11 +568,40 @@ def optimal_breakpoints(
 ) -> ChangePointFit:
     """Exact K-break minimizer of the segment-cost sum.
 
-    Dynamic programming over all admissible segments; ties between score-
+    Dynamic programming over the admissible segments; ties between score-
     equal breakpoint vectors resolve to the lexicographically smallest one.
     A precomputed ``cost_table`` (from ``build_cost_table`` with the same
     config and minimum segment length) can be supplied to amortize the
-    table across several K values.
+    table across several K values; the program then runs over it as given.
+
+    Without one, only the segments that can lie on an optimal partition
+    are solved:
+
+    1. *Bound.*  Each segment's cost is at least its unpenalized
+       least-squares RSS, computed for all segments at once from the
+       cumulative statistics by a batched Cholesky solve whose Gram matrices
+       are shifted down by ``1e-10 * trace`` (the shift only lowers the
+       bound and dwarfs the rounding).  Segments whose shifted Gram matrix
+       is not positive definite, which includes every one ``solvers.ols``
+       rejects, get the bound 0; every bound is lowered by a slack of
+       ``1e-9 * y'y``, y'y taken over the whole sample.
+    2. *Best bound through each segment.*  A forward and a backward pass
+       over the bound table give, for every segment, the least bound total
+       of a K-break partition that uses it.
+    3. *Incumbent.*  The K-break partition that minimizes the bound total
+       is scored with ``pair_costs``; its score U is attained.
+    4. *Fill.*  ``pair_costs`` solves only the segments whose best bound is
+       at most U plus the slack; all others stay +inf.
+
+    The search over this table is exact.  A pruned segment lies only on
+    partitions whose bound total, and hence cost, exceeds U, so it is on no
+    optimal partition, and pruning only raises entries.  The segments of
+    the partition the dense table would return all survive, with the same
+    costs, so the dynamic program finds the same minimum at every node it
+    reconstructs from and makes the same lexicographic choices:
+    breakpoints, tie-breaks and ``total_score`` equal those of the dense
+    search.  Solver failures surface only from the segments actually
+    solved.
     """
     validate_dataset(dataset)
     if k < 0:
@@ -463,7 +609,7 @@ def optimal_breakpoints(
     min_len = effective_min_seg_len(config, criterion, dataset.p)
     _check_feasible(dataset.n, k, min_len)
     if cost_table is None:
-        cost_table = build_cost_table(dataset, config, min_len)
+        cost_table = _pruned_cost_table(dataset, k, config, min_len)
     total, nodes = _dp_minimize(cost_table, k)
     return _assemble_fit(dataset, nodes, config, expected_total=total)
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConsistencyError,
     InfeasiblePartitionError,
     SegbreakError,
     TooManyFailuresError,
@@ -303,8 +304,8 @@ def _replicate(args) -> _RepOutcome:
                     for r in true_ranges
                 )
                 ok = fit.total_score <= truth_score * (1.0 + 1e-9) + 1e-9
-                if grid_step is None:
-                    assert ok, (
+                if grid_step is None and not ok:
+                    raise ConsistencyError(
                         f"exact search score {fit.total_score!r} exceeds the "
                         f"true-breakpoint score {truth_score!r}"
                     )

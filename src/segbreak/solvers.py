@@ -24,6 +24,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import (
+    ConsistencyError,
     NoConvergenceError,
     SingularGramError,
     SingularSystemError,
@@ -223,10 +224,10 @@ def face_step(G, b, thr, phi):
 def _cd_gram(G, b, yy, lam, weights, tol, max_iter):
     """Cyclic coordinate descent on the Gram form of the weighted lasso.
 
-    Returns (phi, converged, sweeps).  The objective is asserted to be
-    non-increasing across sweeps; a failed assertion means the update
-    algebra is wrong, not that the data are bad.  Every few sweeps a
-    face_step proposal is tried; see its docstring.
+    Returns (phi, converged, sweeps).  The objective must not increase
+    across sweeps; ConsistencyError means the update algebra is wrong, not
+    that the data are bad.  Every few sweeps a face_step proposal is tried;
+    see its docstring.
     """
     p = b.shape[0]
     phi = np.zeros(p)
@@ -248,9 +249,10 @@ def _cd_gram(G, b, yy, lam, weights, tol, max_iter):
             delta = max(delta, abs(new - phi[k]))
             phi[k] = new
         f_new = _gram_objective(yy, b, G, phi, lam, weights)
-        assert f_new <= f_prev + 1e-9 * (1.0 + abs(f_prev)), (
-            f"coordinate descent objective rose from {f_prev!r} to {f_new!r}"
-        )
+        if not f_new <= f_prev + 1e-9 * (1.0 + abs(f_prev)):
+            raise ConsistencyError(
+                f"coordinate descent objective rose from {f_prev!r} to {f_new!r}"
+            )
         f_prev = f_new
         if delta <= tol:
             converged = True

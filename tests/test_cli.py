@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from segbreak import ConsistencyError, cli
 from segbreak.cli import SCHEMA_VERSION, main
 from segbreak.simulation import generate_scenario, one_break_spec, write_dataset
 
@@ -197,6 +198,15 @@ class TestFit:
             capsys, ["fit", data_file, "--k", "1", "--cd-max-iter", "1"]
         )
         assert code == 4
+
+    def test_failed_consistency_check_exits_four(self, capsys, data_file, monkeypatch):
+        def drifted(*args, **kwargs):
+            raise ConsistencyError("segment refit total drifted")
+
+        monkeypatch.setattr(cli, "optimal_breakpoints", drifted)
+        code, _, err = _run(capsys, ["fit", data_file, "--k", "1"])
+        assert code == 4
+        assert "drifted" in err
 
 
 class TestSelect:

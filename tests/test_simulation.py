@@ -25,7 +25,9 @@ from segbreak import (
     write_dataset,
 )
 from segbreak.cli import _read_matrix
-from segbreak.simulation import REGIME_COEFFICIENTS, TABLE_LAYOUTS, _lower_median
+from segbreak import simulation
+from segbreak.segmentation import _assemble_fit
+from segbreak.simulation import REGIME_COEFFICIENTS, TABLE_LAYOUTS, _lower_median, _replicate
 
 
 def _small_spec(n=60, b=30, seed=0):
@@ -230,6 +232,16 @@ class TestRunMonteCarlo:
         strangled = PenaltyConfig(cd_max_iterations=1)
         with pytest.raises(TooManyFailuresError):
             run_monte_carlo(spec, 3, strangled, fixed_k=1)
+
+    def test_exact_fit_worse_than_truth_counts_as_failure(self, monkeypatch):
+        def misplaced(dataset, k, penalty, criterion):
+            return _assemble_fit(dataset, (10,), penalty)
+
+        monkeypatch.setattr(simulation, "optimal_breakpoints", misplaced)
+        spec, penalty = _small_spec(n=60, b=30, seed=23), PenaltyConfig()
+        out = _replicate((spec, 0, penalty, None, 1, None, False, 1.96))
+        assert out.failed
+        assert out.message.startswith("ConsistencyError: exact search score")
 
     def test_selection_requires_criterion(self):
         spec = _small_spec()
