@@ -39,7 +39,6 @@ from .errors import (
 )
 from .model import (
     COMPLEXITY_K_ONLY,
-    COMPLEXITY_K_TIMES_P,
     FAMILY_ADAPTIVE,
     FAMILY_LASSO_TYPE,
     CriterionConfig,
@@ -56,7 +55,7 @@ from .segmentation import (
     refit_breakpoints_two_stage,
 )
 from .selection import active_set_standard_errors, select_k
-from .simulation import ScenarioSpec, run_monte_carlo, table_preset
+from .simulation import TABLE_LAYOUTS, ScenarioSpec, run_monte_carlo, table_preset
 
 SCHEMA_VERSION = 1
 
@@ -324,7 +323,7 @@ def _cmd_select(args) -> int:
     penalty = _penalty_from_args(args)
     criterion = CriterionConfig(
         bn_exponent=args.bn_exponent,
-        complexity=COMPLEXITY_K_ONLY if args.g_function == "k" else COMPLEXITY_K_TIMES_P,
+        complexity=COMPLEXITY_K_ONLY,
         k_max=args.k_max,
         min_seg_len=args.min_seg,
     )
@@ -488,7 +487,7 @@ def _cmd_simulate(args) -> int:
     penalty = _penalty_from_args(args)
     criterion = CriterionConfig(
         bn_exponent=args.bn_exponent,
-        complexity=COMPLEXITY_K_ONLY if args.g_function == "k" else COMPLEXITY_K_TIMES_P,
+        complexity=COMPLEXITY_K_ONLY,
         k_max=args.k_max,
         min_seg_len=args.min_seg,
     )
@@ -561,7 +560,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="Monte Carlo study")
     src = sim.add_mutually_exclusive_group(required=True)
-    src.add_argument("--table", type=int, choices=sorted(table_layout_keys()))
+    src.add_argument("--table", type=int, choices=sorted(TABLE_LAYOUTS))
     src.add_argument("--scenario", help="JSON scenario file")
     sim.add_argument("--reps", type=int, default=100)
     sim.add_argument(
@@ -587,12 +586,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", default=None)
     sim.set_defaults(func=_cmd_simulate)
     return parser
-
-
-def table_layout_keys():
-    from .simulation import TABLE_LAYOUTS
-
-    return TABLE_LAYOUTS.keys()
 
 
 def main(argv=None) -> int:

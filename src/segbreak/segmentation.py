@@ -7,11 +7,15 @@ the attained per-segment penalized minimum, with the tuning constant
 over a table of segment costs; ties resolve to the lexicographically
 smallest breakpoint vector.
 
-Cost tables are filled by a vectorized engine that works on cumulative
-sufficient statistics (running X'X, X'y, y'y), so each candidate segment
-costs O(p^2) regardless of its length.  The engine mirrors the scalar
-``segment_cost`` semantics; coherence between the two paths is part of the
-test suite.  ``build_cost_table`` solves every admissible segment, which
+Every segment cost the search compares comes from one vectorized engine,
+``pair_costs``, that works on cumulative sufficient statistics (running
+X'X, X'y, y'y), so each candidate segment costs O(p^2) regardless of its
+length.  It applies the scalar solver's rules for adaptive-weight fallback
+and for problems that use the whole sweep budget.  The scalar
+``segment_cost`` is the public single-segment solver and the reference:
+it refits the segments of the chosen partition, whose total must agree
+with the search's, and the tests hold both paths to the same costs.
+``build_cost_table`` solves every admissible segment, which
 ``select_k`` shares across K values.  A single exact K-break search
 instead solves only the segments that can lie on an optimal partition:
 every segment's cost is bounded below by its unpenalized least-squares
@@ -49,29 +53,6 @@ from .model import (
     validate_dataset,
 )
 from . import solvers
-
-
-class WriteOnceCache(dict):
-    """Mapping that refuses to rebind a key to a different value.
-
-    Used for weight and cost caches keyed by segment bounds: a second write
-    to the same key is a programming error unless the value is unchanged.
-    """
-
-    def __setitem__(self, key, value):
-        if key in self:
-            if not _same_cache_value(self[key], value):
-                raise ValueError(f"cache key {key!r} is already bound")
-            return
-        super().__setitem__(key, value)
-
-
-def _same_cache_value(a, b) -> bool:
-    if a is b:
-        return True
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and np.array_equal(a, b)
-    return a == b
 
 
 def _as_range(rng) -> SegmentRange:
@@ -127,19 +108,13 @@ def adaptive_weights(dataset: Dataset, rng, g: float) -> np.ndarray:
         return np.abs(phi_ls) ** (-g)
 
 
-def segment_cost(
-    dataset: Dataset,
-    rng,
-    config: PenaltyConfig,
-    weight_cache: dict | None = None,
-):
+def segment_cost(dataset: Dataset, rng, config: PenaltyConfig):
     """Fit one segment under the configured penalty and return its SegmentFit.
 
     The tuning constant is ``config.lambda_scale * (length)**rho``.  When it
-    is zero the segment is fitted by plain least squares.  For the adaptive
-    family the weight vector is taken from ``weight_cache`` when present
-    (keyed by the segment bounds; None marks a segment that fell back to the
-    unweighted lasso).
+    is zero the segment is fitted by plain least squares.  An adaptive fit
+    whose weights are unavailable falls back to the unweighted lasso and
+    reports ``weights_used`` as None.
     """
     rng = _as_range(rng)
     if rng.end > dataset.n:
@@ -159,18 +134,12 @@ def segment_cost(
             )
 
     if config.family == FAMILY_ADAPTIVE:
-        key = (rng.start, rng.end)
-        if weight_cache is not None and key in weight_cache:
-            weights = weight_cache[key]
-        else:
-            try:
-                weights = adaptive_weights(dataset, rng, config.g)
-            except AdaptiveUnavailableError:
-                if not config.adaptive_fallback:
-                    raise
-                weights = None  # unweighted fallback
-            if weight_cache is not None:
-                weight_cache[key] = weights
+        try:
+            weights = adaptive_weights(dataset, rng, config.g)
+        except AdaptiveUnavailableError:
+            if not config.adaptive_fallback:
+                raise
+            weights = None  # unweighted fallback
         return solvers.lasso_cd(
             X, y, lam, weights=weights,
             tol=config.cd_tolerance, max_iter=config.cd_max_iterations,
@@ -253,29 +222,16 @@ def _batch_cd(G, b, thr, tol, max_iter):
 
 
 def _batch_adaptive_weights(G, b, lengths, p, g):
-    """Per-segment weight stack; rows fall back to ones where least squares
-    is unavailable, mirroring the scalar fallback."""
-    m = b.shape[0]
-    w = np.ones((m, p))
-    solvable = lengths >= p
-    if not solvable.any():
-        return w
-    Gs, bs = G[solvable], b[solvable]
-    phi = np.empty_like(bs)
-    ok = np.ones(len(bs), dtype=bool)
-    try:
-        phi[:] = np.linalg.solve(Gs, bs[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        for i in range(len(bs)):
-            try:
-                phi[i] = np.linalg.solve(Gs[i], bs[i])
-            except np.linalg.LinAlgError:
-                ok[i] = False
-    ok &= np.isfinite(phi).all(axis=1)
+    """Per-segment weight stack under the rule of ``solvers.ols``: a row
+    falls back to ones, the unweighted lasso, when its segment is shorter
+    than p or its Gram matrix is numerically singular."""
+    w = np.ones((b.shape[0], p))
+    rows = np.flatnonzero(lengths >= p)
+    eig = np.linalg.eigvalsh(G[rows])
+    rows = rows[(eig[:, -1] > 0.0) & (eig[:, 0] >= solvers._GRAM_COND_FLOOR * eig[:, -1])]
+    phi = np.linalg.solve(G[rows], b[rows][..., None])[..., 0]
     with np.errstate(divide="ignore"):
-        w_solved = np.abs(phi) ** (-g)
-    rows = np.flatnonzero(solvable)[ok]
-    w[rows] = w_solved[ok]
+        w[rows] = np.abs(phi) ** (-g)
     return w
 
 
@@ -349,18 +305,20 @@ def _chunk_costs(dataset, pairs, G, b, yy, lengths, lam, config):
         w = np.ones((b.shape[0], p))
 
     thr = lam[:, None] * w / 2.0
-    phi, stubborn = _batch_cd(G, b, thr, config.cd_tolerance, config.cd_max_iterations)
+    phi, stalled = _batch_cd(G, b, thr, config.cd_tolerance, config.cd_max_iterations)
+    # a problem that used the whole sweep budget keeps its cost only if its
+    # iterate is stationary, under the scalar solver's rule
+    for i in stalled:
+        a, bnd = int(pairs[i, 0]), int(pairs[i, 1])
+        solvers._require_stationary(
+            phi[i], dataset.X[a:bnd], dataset.y[a:bnd], lam[i], w[i],
+            config.cd_max_iterations,
+        )
     quad = _gram_rss(G, b, yy, phi)
     with np.errstate(invalid="ignore"):
         terms = w * np.abs(phi)
     terms = np.where(phi == 0.0, 0.0, terms)
-    out = quad + lam * terms.sum(axis=1)
-    # problems that used the whole sweep budget go through the scalar path,
-    # which re-checks stationarity and raises NoConvergenceError honestly
-    for i in stubborn:
-        a, bnd = int(pairs[i, 0]), int(pairs[i, 1])
-        out[i] = segment_cost(dataset, (a, bnd), config).penalized_cost
-    return out
+    return quad + lam * terms.sum(axis=1)
 
 
 def build_cost_table(
@@ -418,9 +376,9 @@ def _dp_minimize(cost: np.ndarray, k: int):
 # ---------------------------------------------------------------------------
 # bound-based pruning of the exact search
 
-# Relative shift of the Gram matrices in the least-squares bound; see
-# _rss_bounds.  It equals the floor of ``solvers.ols``, so every segment that
-# ols rejects as singular gets the bound 0.
+# Relative shift of each Gram diagonal entry in the least-squares bound; see
+# _rss_bounds.  Scaled per column, it leaves the bound unchanged when a
+# covariate is rescaled.
 _BOUND_COND_FLOOR = solvers._GRAM_COND_FLOOR
 # Rounding allowance of the bounds and of the pruning test, as a fraction of
 # the sample's total y'y (which exceeds every partition's cost).
@@ -432,15 +390,18 @@ def _rss_bounds(stats, pairs, slack: float) -> np.ndarray:
 
     Every penalized fit of a segment leaves at least the segment's
     unpenalized least-squares residual sum of squares ``yy - b'G^-1 b``,
-    whatever the family.  The bound is ``yy - b'(G - tau I)^-1 b`` less
-    ``slack``, floored at 0, with ``tau = _BOUND_COND_FLOOR * trace(G)``:
-    shifting G down can only lower the value, and the shift outweighs the
-    rounding of the Cholesky factorization that computes it by orders of
-    magnitude.  The factorization runs column by column over the whole
-    chunk.  A segment whose shifted Gram matrix is not positive definite,
-    as happens when its smallest eigenvalue is below ``tau`` and so for
-    every segment ``solvers.ols`` rejects, gets the bound 0, which is
-    always valid.
+    whatever the family.  The bound is ``yy - b'(G - S)^-1 b`` less
+    ``slack``, floored at 0, where the diagonal shift S holds
+    ``_BOUND_COND_FLOOR * G[k, k]`` for each column k: shifting G down can
+    only lower the value, and in the column-scaled Gram matrix (unit
+    diagonal) the shift outweighs the rounding of the Cholesky
+    factorization that computes it by orders of magnitude.  The shift
+    scales with each column, so rescaling a covariate leaves the bound as
+    it was.  The factorization runs column by column over the whole chunk.
+    A segment whose shifted Gram matrix is not positive definite, as
+    happens when its column-scaled Gram matrix has an eigenvalue below the
+    floor or a column is zero inside it, gets the bound 0, which is always
+    valid.
     """
     cum_xx, cum_xy, cum_yy = stats
     p = cum_xy.shape[1]
@@ -448,16 +409,15 @@ def _rss_bounds(stats, pairs, slack: float) -> np.ndarray:
     chunk = _chunk_size(p)
     for lo in range(0, len(pairs), chunk):
         j1, j2 = pairs[lo : lo + chunk, 0], pairs[lo : lo + chunk, 1]
-        # Cholesky factor L of G - tau I, built in the lower triangle of G;
-        # b becomes L^-1 b, so that b'(G - tau I)^-1 b is its squared norm
+        # Cholesky factor L of G - S, built in the lower triangle of G;
+        # b becomes L^-1 b, so that b'(G - S)^-1 b is its squared norm
         G = cum_xx[j2] - cum_xx[j1]
         b = cum_xy[j2] - cum_xy[j1]
         yy = cum_yy[j2] - cum_yy[j1]
-        tau = _BOUND_COND_FLOOR * np.trace(G, axis1=1, axis2=2)
-        ok = tau > 0.0
+        ok = np.ones(len(j1), dtype=bool)
         for k in range(p):
             row = G[:, k, :k]
-            pivot = G[:, k, k] - tau - np.einsum("ij,ij->i", row, row)
+            pivot = G[:, k, k] * (1.0 - _BOUND_COND_FLOOR) - np.einsum("ij,ij->i", row, row)
             ok &= pivot > 0.0
             root = np.sqrt(np.where(ok, pivot, 1.0))
             G[:, k + 1 :, k] -= np.einsum("irj,ij->ir", G[:, k + 1 :, :k], row)
@@ -532,8 +492,7 @@ def _assemble_fit(
 ) -> ChangePointFit:
     """Refit the chosen segments through the scalar path and package them."""
     ranges = segment_ranges(breakpoints, dataset.n)
-    cache = WriteOnceCache()
-    fits = tuple(segment_cost(dataset, r, config, weight_cache=cache) for r in ranges)
+    fits = tuple(segment_cost(dataset, r, config) for r in ranges)
     total = float(sum(f.penalized_cost for f in fits))
     if expected_total is not None:
         if not abs(total - expected_total) <= 1e-9 * max(1.0, abs(expected_total)):
@@ -580,10 +539,10 @@ def optimal_breakpoints(
     1. *Bound.*  Each segment's cost is at least its unpenalized
        least-squares RSS, computed for all segments at once from the
        cumulative statistics by a batched Cholesky solve whose Gram matrices
-       are shifted down by ``1e-10 * trace`` (the shift only lowers the
-       bound and dwarfs the rounding).  Segments whose shifted Gram matrix
-       is not positive definite, which includes every one ``solvers.ols``
-       rejects, get the bound 0; every bound is lowered by a slack of
+       have each diagonal entry shifted down by 1e-10 of itself (the shift
+       only lowers the bound, dwarfs the rounding and follows any rescaling
+       of a covariate).  Segments whose shifted Gram matrix is not positive
+       definite get the bound 0; every bound is lowered by a slack of
        ``1e-9 * y'y``, y'y taken over the whole sample.
     2. *Best bound through each segment.*  A forward and a backward pass
        over the bound table give, for every segment, the least bound total
@@ -627,9 +586,13 @@ def refit_breakpoints_two_stage(
     Stage 1 runs the exact dynamic program restricted to breakpoints on a
     grid of spacing ``grid_step``.  Stage 2 re-optimizes each breakpoint
     exhaustively within ``grid_step`` of its current value, holding the
-    others fixed, sweeping until no breakpoint moves.  The result is
-    coordinate-wise locally optimal but not guaranteed to be the global
-    minimizer.  ``grid_step=1`` delegates to ``optimal_breakpoints``.
+    others fixed, sweeping until no breakpoint moves.  Each window is costed
+    by one ``pair_costs`` call; a breakpoint moves only when some position
+    strictly lowers the total of its two segments, and then to the first
+    position of least total.  Only the final refit of the chosen segments
+    runs the scalar ``segment_cost``.  The result is coordinate-wise locally
+    optimal but not guaranteed to be the global minimizer.  ``grid_step=1``
+    delegates to ``optimal_breakpoints``.
     """
     if grid_step < 1:
         raise ValueError("grid_step must be >= 1")
@@ -662,23 +625,19 @@ def refit_breakpoints_two_stage(
             step = max(1, step // 2)
     bounds = [0, *(int(nodes[i]) for i in picked), n]
 
-    memo = WriteOnceCache()
-
-    def cost_of(a: int, b: int) -> float:
-        key = (a, b)
-        if key not in memo:
-            memo[key] = segment_cost(dataset, key, config).penalized_cost
-        return memo[key]
-
     for _ in range(200):
         moved = False
         for r in range(1, k + 1):
             lo = max(bounds[r - 1] + min_len, bounds[r] - grid_step)
             hi = min(bounds[r + 1] - min_len, bounds[r] + grid_step)
-            best_t = bounds[r]
-            best_v = cost_of(bounds[r - 1], best_t) + cost_of(best_t, bounds[r + 1])
-            for t in range(lo, hi + 1):
-                v = cost_of(bounds[r - 1], t) + cost_of(t, bounds[r + 1])
+            ts = np.arange(lo, hi + 1)
+            costs = pair_costs(dataset, np.concatenate([
+                np.column_stack([np.full_like(ts, bounds[r - 1]), ts]),
+                np.column_stack([ts, np.full_like(ts, bounds[r + 1])]),
+            ]), config)
+            totals = costs[: len(ts)] + costs[len(ts) :]
+            best_t, best_v = bounds[r], totals[bounds[r] - lo]
+            for t, v in zip(range(lo, hi + 1), totals):
                 if v < best_v:
                     best_t, best_v = t, v
             if best_t != bounds[r]:

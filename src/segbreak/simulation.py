@@ -39,7 +39,6 @@ from .model import (
     _readonly,
 )
 from .segmentation import (
-    WriteOnceCache,
     optimal_breakpoints,
     refit_breakpoints_two_stage,
     segment_cost,
@@ -298,10 +297,8 @@ def _replicate(args) -> _RepOutcome:
             min_len = effective_min_seg_len(penalty, criterion, dataset.p)
             true_ranges = segment_ranges(truth.breakpoints, dataset.n)
             if all(r.length >= min_len for r in true_ranges):
-                cache = WriteOnceCache()
                 truth_score = sum(
-                    segment_cost(dataset, r, penalty, weight_cache=cache).penalized_cost
-                    for r in true_ranges
+                    segment_cost(dataset, r, penalty).penalized_cost for r in true_ranges
                 )
                 ok = fit.total_score <= truth_score * (1.0 + 1e-9) + 1e-9
                 if grid_step is None and not ok:

@@ -176,11 +176,6 @@ def kkt_check(
     )
 
 
-def _gram_objective(yy, b, G, phi, lam, weights):
-    quad = float(yy - 2.0 * (b @ phi) + phi @ G @ phi)
-    return quad + lam * penalty_sum(phi, gamma=1.0, weights=weights)
-
-
 _FACE_EVERY = 10
 
 
@@ -190,7 +185,8 @@ def _gram_score(G, b, thr, phi):
     thr holds lam * w / 2, so the penalty contributes 2 sum thr |phi|.
     Coordinates pinned at zero by an infinite threshold contribute zero.
     """
-    pen = float(np.sum(np.where(phi == 0.0, 0.0, thr * np.abs(phi))))
+    with np.errstate(invalid="ignore"):  # inf * 0 under the mask
+        pen = float(np.sum(np.where(phi == 0.0, 0.0, thr * np.abs(phi))))
     return float(phi @ G @ phi - 2.0 * (b @ phi)) + 2.0 * pen
 
 
@@ -235,7 +231,7 @@ def _cd_gram(G, b, yy, lam, weights, tol, max_iter):
     with np.errstate(invalid="ignore"):
         thr = lam * weights / 2.0
     thr = np.where(np.isnan(thr), 0.0, thr)
-    f_prev = _gram_objective(yy, b, G, phi, lam, weights)
+    f_prev = yy + _gram_score(G, b, thr, phi)
     converged = False
     sweeps = 0
     for sweeps in range(1, max_iter + 1):
@@ -248,7 +244,7 @@ def _cd_gram(G, b, yy, lam, weights, tol, max_iter):
             new = soft_threshold(c, thr[k]) / diag[k]
             delta = max(delta, abs(new - phi[k]))
             phi[k] = new
-        f_new = _gram_objective(yy, b, G, phi, lam, weights)
+        f_new = yy + _gram_score(G, b, thr, phi)
         if not f_new <= f_prev + 1e-9 * (1.0 + abs(f_prev)):
             raise ConsistencyError(
                 f"coordinate descent objective rose from {f_prev!r} to {f_new!r}"
@@ -261,7 +257,7 @@ def _cd_gram(G, b, yy, lam, weights, tol, max_iter):
             jump = face_step(G, b, thr, phi)
             if jump is not None:
                 phi = jump
-                f_prev = _gram_objective(yy, b, G, phi, lam, weights)
+                f_prev = yy + _gram_score(G, b, thr, phi)
     return phi, converged, sweeps
 
 
@@ -293,6 +289,22 @@ def wrap_coefficients(
         active_set=active,
         weights_used=weights,
     )
+
+
+def _require_stationary(phi, X, y, lam, weights, max_iter):
+    """Accept a coordinate-descent iterate that used all ``max_iter`` sweeps.
+
+    The iterate stands only if it passes ``kkt_check`` at 1e-6; otherwise
+    NoConvergenceError is raised.  The scalar solver and the batched cost
+    engine share this rule.
+    """
+    report = kkt_check(phi, X, y, lam, weights=weights, tolerance=1e-6)
+    if not report.passed:
+        raise NoConvergenceError(
+            f"coordinate descent used all {max_iter} sweeps; worst "
+            f"stationarity violation {report.worst_violation:.3e} at "
+            f"coordinate {report.worst_index}"
+        )
 
 
 def lasso_cd(
@@ -331,22 +343,20 @@ def lasso_cd(
     yy = float(y @ y)
     phi, converged, _ = _cd_gram(G, b, yy, lam, w, tol, max_iter)
     if not converged:
-        report = kkt_check(phi, X, y, lam, weights=w, tolerance=1e-6)
-        if not report.passed:
-            raise NoConvergenceError(
-                f"coordinate descent used all {max_iter} sweeps; worst "
-                f"stationarity violation {report.worst_violation:.3e} at "
-                f"coordinate {report.worst_index}"
-            )
+        _require_stationary(phi, X, y, lam, w, max_iter)
     return wrap_coefficients(X, y, phi, lam, 1.0, weights, zero_clamp)
+
+
+def _bridge_objective(G, b, yy, lam, gamma, phi):
+    """Bridge objective in Gram form: ``yy - 2 b'phi + phi'G phi + lam sum |phi|^gamma``."""
+    return float(yy - 2.0 * (b @ phi) + phi @ G @ phi + lam * np.sum(np.abs(phi) ** gamma))
 
 
 def _bridge_smooth(G, b, yy, lam, gamma, phi0, grad_tol):
     """Descent for the differentiable bridge penalties (gamma > 1)."""
 
     def fun(phi):
-        a = np.abs(phi)
-        return float(yy - 2.0 * (b @ phi) + phi @ G @ phi + lam * np.sum(a**gamma))
+        return _bridge_objective(G, b, yy, lam, gamma, phi)
 
     def jac(phi):
         a = np.abs(phi)
@@ -394,10 +404,7 @@ def _bridge_lla(X, G, b, yy, lam, gamma, starts, tol, max_iter):
             phi = new
         candidates.append(phi)
 
-    def true_objective(v):
-        return float(yy - 2.0 * (b @ v) + v @ G @ v + lam * np.sum(np.abs(v) ** gamma))
-
-    values = [true_objective(v) for v in candidates]
+    values = [_bridge_objective(G, b, yy, lam, gamma, v) for v in candidates]
     return candidates[int(np.argmin(values))]
 
 

@@ -121,9 +121,7 @@ def test_tie_keeps_lexicographically_smallest():
         assert pruned.total_score == dense.total_score
 
 
-def test_pruning_solves_few_segments(monkeypatch):
-    spec, config = table_preset(2)
-    ds = replication_dataset(spec, 0)
+def _assert_few_solved(monkeypatch, ds, k, config):
     solved = []
     original = segmentation.pair_costs
 
@@ -132,9 +130,14 @@ def test_pruning_solves_few_segments(monkeypatch):
         return original(dataset, pairs, cfg)
 
     monkeypatch.setattr(segmentation, "pair_costs", counting)
-    optimal_breakpoints(ds, 2, config)
+    optimal_breakpoints(ds, k, config)
     admissible = len(_all_pairs(ds.n, effective_min_seg_len(config, None, ds.p)))
-    assert 3 <= sum(solved) <= admissible // 20
+    assert k + 1 <= sum(solved) <= admissible // 20
+
+
+def test_pruning_solves_few_segments(monkeypatch):
+    spec, config = table_preset(2)
+    _assert_few_solved(monkeypatch, replication_dataset(spec, 0), 2, config)
 
 
 def _assert_bound_holds(ds, config, min_len, informative=True):
@@ -170,14 +173,24 @@ def test_bound_with_column_constant_inside_a_segment(config):
     _assert_bound_holds(ds, config, min_len=5)
 
 
-@pytest.mark.parametrize("column_scale", [1e-4, 1e4])
-@pytest.mark.parametrize("config", FAMILIES, ids=FAMILY_IDS)
-def test_bound_with_extreme_column_scales(config, column_scale):
+def _scaled_column(column_scale):
     ds = _two_regimes(n=80, p=3, b=40, seed=17, scale=column_scale)
     X = ds.X.copy()
     X[:, 1] *= column_scale
-    ds = Dataset(y=ds.y, X=X)
-    _assert_bound_holds(ds, config, min_len=5, informative=False)
+    return Dataset(y=ds.y, X=X)
+
+
+@pytest.mark.parametrize("column_scale", [1e-4, 1e4, 1e5])
+@pytest.mark.parametrize("config", FAMILIES, ids=FAMILY_IDS)
+def test_bound_with_extreme_column_scales(config, column_scale):
+    # the shift is per column, so rescaling a covariate keeps the bound
+    _assert_bound_holds(_scaled_column(column_scale), config, min_len=5)
+
+
+def test_pruning_keeps_working_with_a_scaled_column(monkeypatch):
+    ds = _scaled_column(1e5)
+    _assert_same_search(ds, range(3), ADAPTIVE)
+    _assert_few_solved(monkeypatch, ds, 1, ADAPTIVE)
 
 
 @pytest.mark.parametrize("noise", [1e-7, 1e-4])

@@ -11,6 +11,7 @@ from segbreak import (
     Dataset,
     EmptySegmentError,
     InfeasiblePartitionError,
+    NoConvergenceError,
     PenaltyConfig,
     SegmentRange,
     TruthInfo,
@@ -24,7 +25,6 @@ from segbreak import (
     segment_cost,
     segment_ranges,
 )
-from segbreak.segmentation import WriteOnceCache
 
 
 def _one_break(n=60, p=3, b=30, seed=0, sigma=0.3):
@@ -174,10 +174,9 @@ class TestSegmentCost:
     def test_short_adaptive_segment_falls_back(self):
         ds = _one_break()
         config = PenaltyConfig(family="adaptive", g=0.2)
-        cache = WriteOnceCache()
-        fit = segment_cost(ds, (0, 2), config, weight_cache=cache)
+        fit = segment_cost(ds, (0, 2), config)
         assert np.all(np.isfinite(fit.coefficients))
-        assert cache[(0, 2)] is None  # fallback recorded
+        assert fit.weights_used is None  # unweighted fallback
 
     def test_fallback_disabled_raises(self):
         ds = _one_break()
@@ -210,6 +209,46 @@ class TestPairCosts:
         for cost, pair in zip(batch, pairs):
             scalar = segment_cost(ds, pair, config).penalized_cost
             assert cost == pytest.approx(scalar, rel=1e-9, abs=1e-9)
+
+    @pytest.mark.parametrize("noise", [1e-7, 1e-6])
+    def test_matches_scalar_path_on_collinear_design(self, noise):
+        # x3 = x1 + noise: the Gram matrix of segment (24, 38] is below the
+        # condition floor of solvers.ols, so both paths must fall back to
+        # the unweighted lasso
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((60, 3))
+        X[:, 2] = X[:, 0] + noise * rng.standard_normal(60)
+        y = X @ np.array([1.0, -2.0, 0.5]) + rng.standard_normal(60)
+        y[30:] += X[30:] @ np.array([2.0, 1.0, 0.0])
+        ds = Dataset(y=y, X=X)
+        config = PenaltyConfig()
+        scalar = segment_cost(ds, (24, 38), config)
+        assert scalar.weights_used is None
+        batch = pair_costs(ds, np.array([[24, 38]]), config)[0]
+        assert batch == pytest.approx(scalar.penalized_cost, rel=1e-9)
+
+    def test_sweep_budget_keeps_stationary_iterate(self):
+        # orthonormal columns: one sweep lands on the closed-form minimizer,
+        # so the problem that used its whole budget of 1 keeps its cost
+        X, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((20, 3)))
+        y = X @ np.array([3.0, -0.1, 1.5]) + 0.01 * np.arange(20)
+        ds = Dataset(y=y, X=X)
+        config = PenaltyConfig(family="lasso_type", gamma=1.0, cd_max_iterations=1)
+        lam = lambda_for_segment((0, 20), config.rho)
+        b = X.T @ y
+        phi = np.sign(b) * np.maximum(np.abs(b) - lam / 2.0, 0.0)
+        closed = penalized_objective(X, y, phi, lam)
+        cost = pair_costs(ds, np.array([[0, 20]]), config)[0]
+        assert cost == pytest.approx(closed, rel=1e-12)
+
+    def test_sweep_budget_raises_when_not_stationary(self):
+        rng = np.random.default_rng(5)
+        X = rng.standard_normal((30, 3))
+        X[:, 2] = X[:, 0] + 0.1 * rng.standard_normal(30)
+        ds = Dataset(y=X @ np.array([2.0, -1.0, 2.0]), X=X)
+        config = PenaltyConfig(family="lasso_type", gamma=1.0, cd_max_iterations=1)
+        with pytest.raises(NoConvergenceError, match="all 1 sweeps"):
+            pair_costs(ds, np.array([[0, 30]]), config)
 
     def test_rejects_bad_pairs(self):
         ds = _one_break(n=20)
@@ -329,31 +368,3 @@ class TestTwoStage:
         ds = _one_break(n=20, p=3, b=10, seed=73)
         with pytest.raises(InfeasiblePartitionError):
             refit_breakpoints_two_stage(ds, 4, PenaltyConfig(), grid_step=5)
-
-
-class TestWriteOnceCache:
-    def test_rebind_same_value_is_noop(self):
-        c = WriteOnceCache()
-        c["a"] = 1.0
-        c["a"] = 1.0
-        assert c["a"] == 1.0
-
-    def test_rebind_different_value_raises(self):
-        c = WriteOnceCache()
-        c["a"] = 1.0
-        with pytest.raises(ValueError):
-            c["a"] = 2.0
-
-    def test_array_values_compared_by_content(self):
-        c = WriteOnceCache()
-        c["w"] = np.array([1.0, 2.0])
-        c["w"] = np.array([1.0, 2.0])
-        with pytest.raises(ValueError):
-            c["w"] = np.array([1.0, 3.0])
-
-    def test_none_fallback_marker(self):
-        c = WriteOnceCache()
-        c["w"] = None
-        c["w"] = None
-        with pytest.raises(ValueError):
-            c["w"] = np.ones(2)
