@@ -141,6 +141,15 @@ def _read_matrix(path: str, header: bool, delimiter: str | None) -> np.ndarray:
     return np.array(rows, dtype=np.float64)
 
 
+def _input_doc(args) -> dict:
+    return {
+        "path": args.input,
+        "header": args.header,
+        "delimiter": args.delimiter,
+        "center": args.center,
+    }
+
+
 def _load_dataset(args) -> Dataset:
     matrix = _read_matrix(args.input, args.header, args.delimiter)
     dataset = Dataset(y=matrix[:, 0], X=matrix[:, 1:])
@@ -199,6 +208,31 @@ def _penalty_from_args(args) -> PenaltyConfig:
     if args.gamma is None:
         raise CliInputError("--family bridge requires --gamma")
     return PenaltyConfig(family=FAMILY_LASSO_TYPE, gamma=args.gamma, **common)
+
+
+def _add_criterion_args(sp) -> None:
+    sp.add_argument("--k-max", type=int, default=3, help="largest K to consider")
+    sp.add_argument(
+        "--bn-exponent",
+        type=float,
+        default=0.625,
+        help="complexity scale exponent, in (1/2, 3/4)",
+    )
+    sp.add_argument(
+        "--g-function",
+        choices=("k",),
+        default="k",
+        help="complexity function of the selection criterion",
+    )
+
+
+def _criterion_from_args(args) -> CriterionConfig:
+    return CriterionConfig(
+        bn_exponent=args.bn_exponent,
+        complexity=COMPLEXITY_K_ONLY,
+        k_max=args.k_max,
+        min_seg_len=args.min_seg,
+    )
 
 
 def _search_doc(args) -> dict:
@@ -299,12 +333,7 @@ def _cmd_fit(args) -> int:
         "schema_version": SCHEMA_VERSION,
         "command": "fit",
         "config": {
-            "input": {
-                "path": args.input,
-                "header": args.header,
-                "delimiter": args.delimiter,
-                "center": args.center,
-            },
+            "input": _input_doc(args),
             "k": args.k,
             "penalty": _penalty_doc(penalty),
             "min_seg_len": min_len,
@@ -321,12 +350,7 @@ def _cmd_fit(args) -> int:
 def _cmd_select(args) -> int:
     dataset = _load_dataset(args)
     penalty = _penalty_from_args(args)
-    criterion = CriterionConfig(
-        bn_exponent=args.bn_exponent,
-        complexity=COMPLEXITY_K_ONLY,
-        k_max=args.k_max,
-        min_seg_len=args.min_seg,
-    )
+    criterion = _criterion_from_args(args)
     min_len = effective_min_seg_len(penalty, criterion, dataset.p)
     result = select_k(dataset, penalty, criterion, grid_step=args.grid_step)
     rows = []
@@ -344,12 +368,7 @@ def _cmd_select(args) -> int:
         "schema_version": SCHEMA_VERSION,
         "command": "select",
         "config": {
-            "input": {
-                "path": args.input,
-                "header": args.header,
-                "delimiter": args.delimiter,
-                "center": args.center,
-            },
+            "input": _input_doc(args),
             "penalty": _penalty_doc(penalty),
             "criterion": _criterion_doc(criterion, min_len),
             "search": _search_doc(args),
@@ -458,39 +477,24 @@ def _report_doc(report) -> dict:
 
 def _cmd_simulate(args) -> int:
     if args.table is not None:
-        spec, _ = table_preset(args.table, seed=0)
-        seed = _resolve_seed(args.seed, None)
-        spec = ScenarioSpec(
-            n=spec.n,
-            breakpoints=spec.breakpoints,
-            coefficient_vectors=spec.coefficient_vectors,
-            covariate_means=spec.covariate_means,
-            error_std=spec.error_std,
-            seed=seed,
-        )
+        spec, _ = table_preset(args.table, seed=_resolve_seed(args.seed, None))
         source = {"table": args.table}
     else:
         data = _load_scenario_file(args.scenario)
-        seed = _resolve_seed(args.seed, data.get("seed"))
         spec = ScenarioSpec(
             n=data["n"],
             breakpoints=tuple(data["breakpoints"]),
             coefficient_vectors=data["coefficients"],
             covariate_means=data.get("covariate_means"),
             error_std=data.get("error_std", 1.0),
-            seed=seed,
+            seed=_resolve_seed(args.seed, data.get("seed")),
             error_family=data.get("error_family", "gaussian"),
             error_df=data.get("error_df"),
         )
         source = {"scenario_file": args.scenario}
 
     penalty = _penalty_from_args(args)
-    criterion = CriterionConfig(
-        bn_exponent=args.bn_exponent,
-        complexity=COMPLEXITY_K_ONLY,
-        k_max=args.k_max,
-        min_seg_len=args.min_seg,
-    )
+    criterion = _criterion_from_args(args)
     fixed_k = None if args.select else (
         args.fixed_k if args.fixed_k is not None else len(spec.breakpoints)
     )
@@ -542,19 +546,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sel = sub.add_parser("select", help="choose the breakpoint count")
     _add_input_args(sel)
     _add_penalty_args(sel)
-    sel.add_argument("--k-max", type=int, default=3, help="largest K to consider")
-    sel.add_argument(
-        "--bn-exponent",
-        type=float,
-        default=0.625,
-        help="complexity scale exponent, in (1/2, 3/4)",
-    )
-    sel.add_argument(
-        "--g-function",
-        choices=("k",),
-        default="k",
-        help="complexity function of the selection criterion",
-    )
+    _add_criterion_args(sel)
     sel.add_argument("--out", default=None)
     sel.set_defaults(func=_cmd_select)
 
@@ -579,9 +571,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="breakpoint count to fit (default: the true count)")
     sim.add_argument("--select", action="store_true",
                      help="select K per replication instead of fixing it")
-    sim.add_argument("--k-max", type=int, default=3)
-    sim.add_argument("--bn-exponent", type=float, default=0.625)
-    sim.add_argument("--g-function", choices=("k",), default="k")
+    _add_criterion_args(sim)
     _add_penalty_args(sim)
     sim.add_argument("--out", default=None)
     sim.set_defaults(func=_cmd_simulate)

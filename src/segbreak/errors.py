@@ -60,10 +60,10 @@ class TooManyFailuresError(SegbreakError):
 
 
 class ConsistencyError(SegbreakError):
-    """An internal consistency check failed: a solver's objective rose, a
-    refit drifted from the score the search found, or an exact search
-    scored worse than the true breakpoints.  Raised in place of an
-    ``assert`` so that the check also runs under ``python -O``."""
+    """An internal consistency check failed: a refit drifted from the score
+    the search found, or an exact search scored worse than the true
+    breakpoints.  Raised in place of an ``assert`` so that the check also
+    runs under ``python -O``."""
 
 
 class WindowTooSmallWarning(UserWarning):

@@ -66,14 +66,7 @@ def lambda_for_segment(rng, rho: float) -> float:
     """Per-segment tuning constant ``(j2 - j1)**rho`` for the range (j1, j2]."""
     if not 0.0 < rho <= 0.5:
         raise ValueError(f"rho must lie in (0, 1/2], got {rho}")
-    if isinstance(rng, SegmentRange):
-        length = rng.length
-    else:
-        start, end = rng
-        if end <= start:
-            raise EmptySegmentError(f"segment ({start}, {end}] is empty")
-        length = end - start
-    return float(length) ** rho
+    return float(_as_range(rng).length) ** rho
 
 
 def adaptive_weights(dataset: Dataset, rng, g: float) -> np.ndarray:
@@ -222,9 +215,10 @@ def _batch_cd(G, b, thr, tol, max_iter):
 
 
 def _batch_adaptive_weights(G, b, lengths, p, g):
-    """Per-segment weight stack under the rule of ``solvers.ols``: a row
-    falls back to ones, the unweighted lasso, when its segment is shorter
-    than p or its Gram matrix is numerically singular."""
+    """Per-segment weight stack under the rule of ``solvers.ols``, and the
+    mask of rows that fall back to ones, the unweighted lasso: those whose
+    segment is shorter than p or whose Gram matrix is numerically
+    singular."""
     w = np.ones((b.shape[0], p))
     rows = np.flatnonzero(lengths >= p)
     eig = np.linalg.eigvalsh(G[rows])
@@ -232,11 +226,30 @@ def _batch_adaptive_weights(G, b, lengths, p, g):
     phi = np.linalg.solve(G[rows], b[rows][..., None])[..., 0]
     with np.errstate(divide="ignore"):
         w[rows] = np.abs(phi) ** (-g)
-    return w
+    fallback = np.ones(b.shape[0], dtype=bool)
+    fallback[rows] = False
+    return w, fallback
 
 
-def _chunk_size(p: int) -> int:
-    return max(1024, int(6e6 / max(1, p * p)))
+def _segment_stacks(stats, pairs):
+    """Gram-form problems of the segments in ``pairs``, a chunk at a time.
+
+    Yields ``(sl, G, b, yy)``: the slice of ``pairs`` in the chunk and its
+    stacks of X'X, X'y and y'y, differenced from the cumulative statistics
+    ``stats``.  The arrays are fresh, so callers may overwrite them.
+    """
+    cum_xx, cum_xy, cum_yy = stats
+    p = cum_xy.shape[1]
+    chunk = max(1024, int(6e6 / max(1, p * p)))  # about 48 MB of Gram matrices
+    for lo in range(0, len(pairs), chunk):
+        sl = slice(lo, min(lo + chunk, len(pairs)))
+        j1, j2 = pairs[sl, 0], pairs[sl, 1]
+        yield sl, cum_xx[j2] - cum_xx[j1], cum_xy[j2] - cum_xy[j1], cum_yy[j2] - cum_yy[j1]
+
+
+def _admissible(nodes, min_len: int) -> np.ndarray:
+    """Mask of the segments from node i to node j at least ``min_len`` long."""
+    return nodes[None, :] - nodes[:, None] >= min_len
 
 
 def pair_costs(dataset: Dataset, pairs, config: PenaltyConfig) -> np.ndarray:
@@ -244,7 +257,9 @@ def pair_costs(dataset: Dataset, pairs, config: PenaltyConfig) -> np.ndarray:
 
     ``pairs`` is an integer array of shape (M, 2) of (start, end) bounds.
     Matches ``segment_cost(...).penalized_cost`` within floating error for
-    every admissible pair.
+    every admissible pair, and raises AdaptiveUnavailableError where it
+    does: for an adaptive segment without least-squares weights when
+    ``config.adaptive_fallback`` is off.
     """
     pairs = np.asarray(pairs, dtype=np.int64)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
@@ -264,18 +279,8 @@ def pair_costs(dataset: Dataset, pairs, config: PenaltyConfig) -> np.ndarray:
             costs[i] = segment_cost(dataset, (int(a), int(bnd)), config).penalized_cost
         return costs
 
-    cum_xx, cum_xy, cum_yy = _cumulative_stats(dataset)
-    p = dataset.p
-    chunk = _chunk_size(p)
-    for lo in range(0, m_total, chunk):
-        sl = slice(lo, min(lo + chunk, m_total))
-        j1, j2 = pairs[sl, 0], pairs[sl, 1]
-        G = cum_xx[j2] - cum_xx[j1]
-        b = cum_xy[j2] - cum_xy[j1]
-        yy = cum_yy[j2] - cum_yy[j1]
-        lengths = j2 - j1
-        lam = config.lambda_scale * lengths.astype(np.float64) ** config.rho
-        costs[sl] = _chunk_costs(dataset, pairs[sl], G, b, yy, lengths, lam, config)
+    for sl, G, b, yy in _segment_stacks(_cumulative_stats(dataset), pairs):
+        costs[sl] = _chunk_costs(dataset, pairs[sl], G, b, yy, config)
     return costs
 
 
@@ -289,14 +294,22 @@ def _gram_rss(G, b, yy, phi):
     )
 
 
-def _chunk_costs(dataset, pairs, G, b, yy, lengths, lam, config):
+def _chunk_costs(dataset, pairs, G, b, yy, config):
     p = b.shape[1]
     if config.lambda_scale == 0.0:
         phi = np.einsum("ijk,ik->ij", np.linalg.pinv(G, hermitian=True), b)
         return _gram_rss(G, b, yy, phi)
 
+    lengths = pairs[:, 1] - pairs[:, 0]
+    lam = config.lambda_scale * lengths.astype(np.float64) ** config.rho
     if config.family == FAMILY_ADAPTIVE:
-        w = _batch_adaptive_weights(G, b, lengths, p, config.g)
+        w, fallback = _batch_adaptive_weights(G, b, lengths, p, config.g)
+        if not config.adaptive_fallback and fallback.any():
+            a, bnd = pairs[np.argmax(fallback)]
+            raise AdaptiveUnavailableError(
+                f"segment ({a}, {bnd}] has no least-squares weights: it is "
+                f"shorter than p={p} or its Gram matrix is singular"
+            )
     elif config.gamma == 2.0:
         A = G + lam[:, None, None] * np.eye(p)
         phi = np.linalg.solve(A, b[..., None])[..., 0]
@@ -314,11 +327,7 @@ def _chunk_costs(dataset, pairs, G, b, yy, lengths, lam, config):
             phi[i], dataset.X[a:bnd], dataset.y[a:bnd], lam[i], w[i],
             config.cd_max_iterations,
         )
-    quad = _gram_rss(G, b, yy, phi)
-    with np.errstate(invalid="ignore"):
-        terms = w * np.abs(phi)
-    terms = np.where(phi == 0.0, 0.0, terms)
-    return quad + lam * terms.sum(axis=1)
+    return _gram_rss(G, b, yy, phi) + lam * solvers._l1_terms(w, phi).sum(axis=1)
 
 
 def build_cost_table(
@@ -332,9 +341,7 @@ def build_cost_table(
     if min_seg_len < 1:
         raise ValueError("min_seg_len must be >= 1")
     n = dataset.n
-    idx = np.arange(n + 1)
-    admissible = (idx[None, :] - idx[:, None]) >= min_seg_len
-    j1, j2 = np.nonzero(admissible)
+    j1, j2 = np.nonzero(_admissible(np.arange(n + 1), min_seg_len))
     table = np.full((n + 1, n + 1), np.inf)
     table[j1, j2] = pair_costs(dataset, np.column_stack([j1, j2]), config)
     return table
@@ -403,18 +410,12 @@ def _rss_bounds(stats, pairs, slack: float) -> np.ndarray:
     floor or a column is zero inside it, gets the bound 0, which is always
     valid.
     """
-    cum_xx, cum_xy, cum_yy = stats
-    p = cum_xy.shape[1]
+    p = stats[1].shape[1]
     out = np.zeros(len(pairs))
-    chunk = _chunk_size(p)
-    for lo in range(0, len(pairs), chunk):
-        j1, j2 = pairs[lo : lo + chunk, 0], pairs[lo : lo + chunk, 1]
+    for sl, G, b, yy in _segment_stacks(stats, pairs):
         # Cholesky factor L of G - S, built in the lower triangle of G;
         # b becomes L^-1 b, so that b'(G - S)^-1 b is its squared norm
-        G = cum_xx[j2] - cum_xx[j1]
-        b = cum_xy[j2] - cum_xy[j1]
-        yy = cum_yy[j2] - cum_yy[j1]
-        ok = np.ones(len(j1), dtype=bool)
+        ok = np.ones(len(yy), dtype=bool)
         for k in range(p):
             row = G[:, k, :k]
             pivot = G[:, k, k] * (1.0 - _BOUND_COND_FLOOR) - np.einsum("ij,ij->i", row, row)
@@ -424,7 +425,7 @@ def _rss_bounds(stats, pairs, slack: float) -> np.ndarray:
             G[:, k + 1 :, k] /= root[:, None]
             b[:, k] = (b[:, k] - np.einsum("ij,ij->i", b[:, :k], row)) / root
         rss = yy - np.einsum("ij,ij->i", b, b)
-        out[lo : lo + chunk] = np.where(ok, np.maximum(rss - slack, 0.0), 0.0)
+        out[sl] = np.where(ok, np.maximum(rss - slack, 0.0), 0.0)
     return out
 
 
@@ -461,8 +462,7 @@ def _pruned_cost_table(
     exact.
     """
     n = dataset.n
-    idx = np.arange(n + 1)
-    reachable = np.where(idx[None, :] - idx[:, None] >= min_seg_len, 0.0, np.inf)
+    reachable = np.where(_admissible(np.arange(n + 1), min_seg_len), 0.0, np.inf)
     j1, j2 = np.nonzero(np.isfinite(_least_through(reachable, k)))
     stats = _cumulative_stats(dataset)
     slack = _BOUND_SLACK * float(stats[2][-1])
@@ -517,6 +517,16 @@ def _check_feasible(n: int, k: int, min_seg_len: int):
         )
 
 
+def _search_min_len(dataset: Dataset, k: int, config, criterion) -> int:
+    """Check a K-break search request and return its minimum segment length."""
+    validate_dataset(dataset)
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    min_len = effective_min_seg_len(config, criterion, dataset.p)
+    _check_feasible(dataset.n, k, min_len)
+    return min_len
+
+
 def optimal_breakpoints(
     dataset: Dataset,
     k: int,
@@ -562,11 +572,7 @@ def optimal_breakpoints(
     search.  Solver failures surface only from the segments actually
     solved.
     """
-    validate_dataset(dataset)
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    min_len = effective_min_seg_len(config, criterion, dataset.p)
-    _check_feasible(dataset.n, k, min_len)
+    min_len = _search_min_len(dataset, k, config, criterion)
     if cost_table is None:
         cost_table = _pruned_cost_table(dataset, k, config, min_len)
     total, nodes = _dp_minimize(cost_table, k)
@@ -598,20 +604,16 @@ def refit_breakpoints_two_stage(
         raise ValueError("grid_step must be >= 1")
     if grid_step == 1:
         return optimal_breakpoints(dataset, k, config, criterion)
-    validate_dataset(dataset)
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    n = dataset.n
-    min_len = effective_min_seg_len(config, criterion, dataset.p)
-    _check_feasible(n, k, min_len)
+    min_len = _search_min_len(dataset, k, config, criterion)
     if k == 0:
         return _assemble_fit(dataset, (), config)
 
+    n = dataset.n
     step = grid_step
     while True:
         interior = [t for t in range(step, n, step) if min_len <= t <= n - min_len]
         nodes = np.array([0, *interior, n], dtype=np.int64)
-        i1, i2 = np.nonzero(nodes[None, :] - nodes[:, None] >= min_len)
+        i1, i2 = np.nonzero(_admissible(nodes, min_len))
         matrix = np.full((len(nodes), len(nodes)), np.inf)
         matrix[i1, i2] = pair_costs(
             dataset, np.column_stack([nodes[i1], nodes[i2]]), config

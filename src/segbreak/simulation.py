@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import (
     ConsistencyError,
-    InfeasiblePartitionError,
     SegbreakError,
     TooManyFailuresError,
     WindowTooSmallWarning,
@@ -39,6 +38,7 @@ from .model import (
     _readonly,
 )
 from .segmentation import (
+    _check_feasible,
     optimal_breakpoints,
     refit_breakpoints_two_stage,
     segment_cost,
@@ -359,12 +359,8 @@ def run_monte_carlo(
         raise ValueError("selecting K needs a CriterionConfig")
     if fixed_k is not None and fixed_k < 0:
         raise ValueError("fixed_k must be >= 0")
-    min_len = effective_min_seg_len(penalty, criterion, spec.p)
-    if fixed_k is not None and (fixed_k + 1) * min_len > spec.n:
-        raise InfeasiblePartitionError(
-            f"{fixed_k + 1} segments of length >= {min_len} do not fit in "
-            f"{spec.n} samples"
-        )
+    if fixed_k is not None:
+        _check_feasible(spec.n, fixed_k, effective_min_seg_len(penalty, criterion, spec.p))
     args = [
         (spec, rep, penalty, criterion, fixed_k, grid_step,
          with_standard_errors, z_value)

@@ -24,7 +24,6 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import (
-    ConsistencyError,
     NoConvergenceError,
     SingularGramError,
     SingularSystemError,
@@ -49,14 +48,18 @@ def penalty_sum(phi: np.ndarray, gamma: float = 1.0, weights: np.ndarray | None 
     that an infinite weight paired with an exactly zero coefficient
     contributes 0.
     """
-    a = np.abs(np.asarray(phi, dtype=np.float64))
+    phi = np.asarray(phi, dtype=np.float64)
     if weights is None:
-        return float(np.sum(a**gamma))
-    w = np.asarray(weights, dtype=np.float64)
-    with np.errstate(invalid="ignore"):
-        terms = w * a
-    terms = np.where(a == 0.0, 0.0, terms)
-    return float(np.sum(terms))
+        return float(np.sum(np.abs(phi) ** gamma))
+    return float(np.sum(_l1_terms(np.asarray(weights, dtype=np.float64), phi)))
+
+
+def _l1_terms(w, phi):
+    """Terms ``w * |phi|``, elementwise, with 0 wherever ``phi`` is 0: an
+    infinite weight on an exactly zero coefficient contributes nothing."""
+    with np.errstate(invalid="ignore"):  # inf * 0 under the mask
+        terms = w * np.abs(phi)
+    return np.where(phi == 0.0, 0.0, terms)
 
 
 def penalized_objective(
@@ -81,21 +84,21 @@ def ols(X: np.ndarray, y: np.ndarray) -> np.ndarray:
         When the segment has fewer rows than coefficients.
     SingularGramError
         When the Gram matrix is numerically singular: its smallest singular
-        value falls below 1e-10 times its largest.
+        value falls below 1e-10 times its largest.  The singular values come
+        from the same ``lstsq`` decomposition that gives the coefficients.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     m, p = X.shape
     if m < p:
         raise UnderdeterminedError(f"{m} rows cannot determine {p} coefficients")
-    s = np.linalg.svd(X, compute_uv=False)
+    phi, _, _, s = np.linalg.lstsq(X, y, rcond=None)
     # singular values of the Gram matrix are the squares of those of X
     if s[0] == 0.0 or (s[-1] / s[0]) ** 2 < _GRAM_COND_FLOOR:
         raise SingularGramError(
             f"Gram condition {(s[-1] / s[0]) ** 2 if s[0] else 0.0:.3e} "
             f"below {_GRAM_COND_FLOOR:.0e}"
         )
-    phi, *_ = np.linalg.lstsq(X, y, rcond=None)
     return phi
 
 
@@ -185,8 +188,7 @@ def _gram_score(G, b, thr, phi):
     thr holds lam * w / 2, so the penalty contributes 2 sum thr |phi|.
     Coordinates pinned at zero by an infinite threshold contribute zero.
     """
-    with np.errstate(invalid="ignore"):  # inf * 0 under the mask
-        pen = float(np.sum(np.where(phi == 0.0, 0.0, thr * np.abs(phi))))
+    pen = float(np.sum(_l1_terms(thr, phi)))
     return float(phi @ G @ phi - 2.0 * (b @ phi)) + 2.0 * pen
 
 
@@ -217,13 +219,15 @@ def face_step(G, b, thr, phi):
     return cand
 
 
-def _cd_gram(G, b, yy, lam, weights, tol, max_iter):
+def _cd_gram(G, b, lam, weights, tol, max_iter):
     """Cyclic coordinate descent on the Gram form of the weighted lasso.
 
-    Returns (phi, converged, sweeps).  The objective must not increase
-    across sweeps; ConsistencyError means the update algebra is wrong, not
-    that the data are bad.  Every few sweeps a face_step proposal is tried;
-    see its docstring.
+    Returns (phi, converged).  Sweeps stop once the largest coefficient
+    change in a sweep is at most ``tol``, as in glmnet (Friedman, Hastie &
+    Tibshirani 2010); no objective is evaluated.  Each exact
+    soft-threshold update minimizes the objective along its coordinate, so
+    the objective never rises (the tests check this), and every few sweeps
+    a face_step proposal is tried; see its docstring.
     """
     p = b.shape[0]
     phi = np.zeros(p)
@@ -231,10 +235,7 @@ def _cd_gram(G, b, yy, lam, weights, tol, max_iter):
     with np.errstate(invalid="ignore"):
         thr = lam * weights / 2.0
     thr = np.where(np.isnan(thr), 0.0, thr)
-    f_prev = yy + _gram_score(G, b, thr, phi)
-    converged = False
-    sweeps = 0
-    for sweeps in range(1, max_iter + 1):
+    for sweep in range(1, max_iter + 1):
         delta = 0.0
         for k in range(p):
             if diag[k] <= 0.0:
@@ -244,21 +245,13 @@ def _cd_gram(G, b, yy, lam, weights, tol, max_iter):
             new = soft_threshold(c, thr[k]) / diag[k]
             delta = max(delta, abs(new - phi[k]))
             phi[k] = new
-        f_new = yy + _gram_score(G, b, thr, phi)
-        if not f_new <= f_prev + 1e-9 * (1.0 + abs(f_prev)):
-            raise ConsistencyError(
-                f"coordinate descent objective rose from {f_prev!r} to {f_new!r}"
-            )
-        f_prev = f_new
         if delta <= tol:
-            converged = True
-            break
-        if sweeps % _FACE_EVERY == 0:
+            return phi, True
+        if sweep % _FACE_EVERY == 0:
             jump = face_step(G, b, thr, phi)
             if jump is not None:
                 phi = jump
-                f_prev = yy + _gram_score(G, b, thr, phi)
-    return phi, converged, sweeps
+    return phi, False
 
 
 def wrap_coefficients(
@@ -338,10 +331,7 @@ def lasso_cd(
         if np.any(weights < 0) or np.any(np.isnan(weights)):
             raise ValueError("weights must be nonnegative")
     w = np.ones(p) if weights is None else weights
-    G = X.T @ X
-    b = X.T @ y
-    yy = float(y @ y)
-    phi, converged, _ = _cd_gram(G, b, yy, lam, w, tol, max_iter)
+    phi, converged = _cd_gram(X.T @ X, X.T @ y, lam, w, tol, max_iter)
     if not converged:
         _require_stationary(phi, X, y, lam, w, max_iter)
     return wrap_coefficients(X, y, phi, lam, 1.0, weights, zero_clamp)
@@ -380,7 +370,7 @@ def _bridge_smooth(G, b, yy, lam, gamma, phi0, grad_tol):
     )
 
 
-def _bridge_lla(X, G, b, yy, lam, gamma, starts, tol, max_iter):
+def _bridge_lla(G, b, yy, lam, gamma, starts, tol, max_iter):
     """Local linear approximation for the concave penalties (gamma < 1).
 
     Each pass replaces |phi_k|^gamma by its tangent at the current iterate
@@ -397,7 +387,7 @@ def _bridge_lla(X, G, b, yy, lam, gamma, starts, tol, max_iter):
             a = np.abs(phi)
             with np.errstate(divide="ignore"):
                 w = gamma * a ** (gamma - 1.0)  # inf at exact zeros: stays pinned
-            new, _, _ = _cd_gram(G, b, yy, lam, w, tol, max_iter)
+            new, _ = _cd_gram(G, b, lam, w, tol, max_iter)
             if float(np.max(np.abs(new - phi))) <= max(tol, 1e-10):
                 phi = new
                 break
@@ -446,7 +436,5 @@ def bridge(
         phi = _bridge_smooth(G, b, yy, lam, gamma, ridge_start, 1e-6 * scale)
     else:
         lstsq_start, *_ = np.linalg.lstsq(X, y, rcond=None)
-        phi = _bridge_lla(
-            X, G, b, yy, lam, gamma, [ridge_start, lstsq_start], tol, max_iter
-        )
+        phi = _bridge_lla(G, b, yy, lam, gamma, [ridge_start, lstsq_start], tol, max_iter)
     return wrap_coefficients(X, y, phi, lam, gamma, None, zero_clamp)

@@ -250,6 +250,33 @@ class TestPairCosts:
         with pytest.raises(NoConvergenceError, match="all 1 sweeps"):
             pair_costs(ds, np.array([[0, 30]]), config)
 
+    @staticmethod
+    def _zero_column_in_first_half():
+        # column 3 is zero in rows 1-20, so segment (0, 20] has no
+        # least-squares weights
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((40, 3))
+        X[:20, 2] = 0.0
+        y = X @ np.array([1.0, -2.0, 0.5]) + rng.standard_normal(40)
+        return Dataset(y=y, X=X)
+
+    def test_fallback_disabled_raises(self):
+        ds = self._zero_column_in_first_half()
+        config = PenaltyConfig(adaptive_fallback=False)
+        with pytest.raises(AdaptiveUnavailableError):
+            segment_cost(ds, (0, 20), config)
+        with pytest.raises(AdaptiveUnavailableError, match=r"\(0, 20\]"):
+            pair_costs(ds, np.array([[0, 20]]), config)
+        with pytest.raises(AdaptiveUnavailableError):
+            optimal_breakpoints(ds, 1, config)
+
+    def test_fallback_matches_scalar_path(self):
+        ds = self._zero_column_in_first_half()
+        scalar = segment_cost(ds, (0, 20), PenaltyConfig())
+        assert scalar.weights_used is None
+        batch = pair_costs(ds, np.array([[0, 20]]), PenaltyConfig())[0]
+        assert batch == pytest.approx(scalar.penalized_cost, rel=1e-9)
+
     def test_rejects_bad_pairs(self):
         ds = _one_break(n=20)
         with pytest.raises(EmptySegmentError):

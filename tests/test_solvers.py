@@ -19,7 +19,7 @@ from segbreak import (
     soft_threshold,
     wrap_coefficients,
 )
-from segbreak.solvers import _gram_score, face_step
+from segbreak.solvers import _cd_gram, _gram_score, face_step
 
 
 def _problem(m=50, p=5, seed=1, sigma=0.5):
@@ -259,6 +259,42 @@ class TestLassoCd:
         X, y, _ = _problem(m=80, p=5, seed=71)
         with pytest.raises(NoConvergenceError):
             lasso_cd(X, y, 4.0, max_iter=1)
+
+
+def _descent_design(name, seed=0):
+    """Designs on which coordinate descent takes many sweeps."""
+    rng = np.random.default_rng(seed)
+    if name == "correlated_infinite_weight":
+        corr = 0.99 * np.ones((5, 5)) + 0.01 * np.eye(5)
+        X = rng.standard_normal((40, 5)) @ np.linalg.cholesky(corr).T
+        y = X @ np.array([2.0, 0.0, -1.5, 0.0, 0.7]) + 0.5 * rng.standard_normal(40)
+        return X, y, np.array([1.0, np.inf, 0.5, 2.0, 1.0])
+    # x3 = x1 + 1e-7 * noise: the lasso crawls along the near-tie of x1, x3
+    X = rng.standard_normal((30, 3))
+    X[:, 2] = X[:, 0] + 1e-7 * rng.standard_normal(30)
+    y = X @ np.array([3.0, -3.0, 0.0]) + 0.3 * rng.standard_normal(30)
+    if name == "zero_column":
+        X = np.column_stack([X, np.zeros(30)])
+    return X, y, np.ones(X.shape[1])
+
+
+class TestCoordinateDescentDescent:
+    @pytest.mark.parametrize(
+        "design", ["near_collinear", "correlated_infinite_weight", "zero_column"]
+    )
+    def test_objective_never_rises(self, design):
+        # the s-sweep iterate for s = 1..60, across the face steps every
+        # _FACE_EVERY sweeps: its objective must never rise
+        X, y, w = _descent_design(design)
+        lam = float(X.shape[0] ** 0.45)
+        G, b = X.T @ X, X.T @ y
+        values = []
+        for sweeps in range(1, 61):
+            phi, _ = _cd_gram(G, b, lam, w, 0.0, sweeps)
+            values.append(penalized_objective(X, y, phi, lam, weights=w))
+        for before, after in zip(values, values[1:]):
+            assert after <= before + 1e-9 * abs(before)
+        assert values[-1] < values[0]
 
 
 class TestFaceStep:
