@@ -19,17 +19,23 @@ with the search's, and the tests hold both paths to the same costs.
 ``select_k`` shares across K values.  A single exact K-break search
 instead solves only the segments that can lie on an optimal partition:
 every segment's cost is bounded below by its unpenalized least-squares
-RSS, a forward and a backward pass over those bounds give the least bound
-total of a K-partition through each segment, and a segment whose best
-bound exceeds the attained score of an incumbent partition (plus a
-rounding slack of ``1e-9 * y'y``) is never solved.  The search over the
-pruned table returns the same breakpoints and score as over the dense one;
+RSS, which only grows with the segment, so the RSS of the innermost
+segment of a block of (start, end) pairs bounds the whole block.  A
+forward and a backward pass over the block bounds give the least bound
+total of a K-partition through each block, and a block whose best bound
+exceeds the attained score of an incumbent partition (plus a rounding
+slack of ``1e-9 * y'y``) is dropped.  The segments of the surviving
+blocks are then bounded and pruned one by one in the same way, and only
+their survivors are solved.  The search over the pruned table returns
+the same breakpoints and score as over the dense one;
 ``optimal_breakpoints`` gives the argument.  ``refit_breakpoints_two_stage``
 is an explicitly approximate alternative for long series: a coarse grid
 search followed by local refinement of each breakpoint.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -247,9 +253,14 @@ def _segment_stacks(stats, pairs):
         yield sl, cum_xx[j2] - cum_xx[j1], cum_xy[j2] - cum_xy[j1], cum_yy[j2] - cum_yy[j1]
 
 
-def _admissible(nodes, min_len: int) -> np.ndarray:
-    """Mask of the segments from node i to node j at least ``min_len`` long."""
-    return nodes[None, :] - nodes[:, None] >= min_len
+def _admissible(nodes, min_len: int, last=None) -> np.ndarray:
+    """Mask of the segments from node i to node j at least ``min_len`` long.
+
+    With ``last``, entry [i, j] instead says whether some segment from a
+    node in ``nodes[i] .. last[i]`` to one in ``nodes[j] .. last[j]`` is.
+    """
+    last = nodes if last is None else last
+    return last[None, :] - nodes[:, None] >= min_len
 
 
 def pair_costs(dataset: Dataset, pairs, config: PenaltyConfig) -> np.ndarray:
@@ -451,34 +462,84 @@ def _least_through(table: np.ndarray, k: int) -> np.ndarray:
     return through + table
 
 
+def _block_size(n: int) -> int:
+    """Side s of the s x s blocks of (start, end) pairs that the coarse pass
+    bounds as one.
+
+    About (n/s)^2 / 2 blocks get a bound, and each block that survives
+    holds about s^2 segments to bound one by one, so s near sqrt(n) / 2
+    balances the two.  Up to n = 100 the per-segment pass alone is
+    cheaper (s = 1).
+    """
+    return 1 if n <= 100 else math.isqrt(n) // 2
+
+
+def _blocks(n: int, size: int):
+    """First and last node of each block of ``size`` consecutive nodes."""
+    first = np.arange(0, n + 1, size)
+    return first, np.minimum(first + size - 1, n)
+
+
+def _block_bounds(stats, first, last, i, j, slack: float) -> np.ndarray:
+    """Lower bound on the cost of every segment from a node of block i[m]
+    to a node of block j[m], for each m.
+
+    Each such segment contains the segment (last[i], first[j]] when that
+    is not empty, and a least-squares RSS only grows with its segment, so
+    the ``_rss_bounds`` value of that innermost segment bounds them all;
+    otherwise the bound is 0.  At block size 1 it is the segment's own.
+    """
+    out = np.zeros(len(i))
+    inner = last[i] < first[j]
+    out[inner] = _rss_bounds(
+        stats, np.column_stack([last[i[inner]], first[j[inner]]]), slack
+    )
+    return out
+
+
 def _pruned_cost_table(
     dataset: Dataset, k: int, config: PenaltyConfig, min_seg_len: int
 ) -> np.ndarray:
     """Cost table for the exact K-break search, filled only where needed.
 
-    Entries hold the ``pair_costs`` cost of every segment whose best
-    bounded partition can still reach the incumbent's score, and +inf
-    elsewhere; ``optimal_breakpoints`` explains why the search over it is
-    exact.
+    Blocks of segments are bounded and pruned first, then the segments of
+    the surviving blocks one by one.  Entries hold the ``pair_costs`` cost
+    of every segment whose best bounded partition can still reach the
+    best incumbent score, and +inf elsewhere; ``optimal_breakpoints``
+    explains why the search over it is exact.
     """
     n = dataset.n
-    reachable = np.where(_admissible(np.arange(n + 1), min_seg_len), 0.0, np.inf)
-    j1, j2 = np.nonzero(np.isfinite(_least_through(reachable, k)))
     stats = _cumulative_stats(dataset)
     slack = _BOUND_SLACK * float(stats[2][-1])
-    lower = np.full((n + 1, n + 1), np.inf)
-    lower[j1, j2] = _rss_bounds(stats, np.column_stack([j1, j2]), slack)
-
-    _, nodes = _dp_minimize(lower, k)
-    ends = np.array([0, *nodes, n], dtype=np.int64)
-    incumbent = np.column_stack([ends[:-1], ends[1:]])
-    incumbent_costs = pair_costs(dataset, incumbent, config)
-
-    keep = _least_through(lower, k) <= incumbent_costs.sum() + slack
-    keep[incumbent[:, 0], incumbent[:, 1]] = False
-    j1, j2 = np.nonzero(keep)
     table = np.full((n + 1, n + 1), np.inf)
-    table[incumbent[:, 0], incumbent[:, 1]] = incumbent_costs
+    upper = np.inf
+    keep, outer = np.ones((1, 1), dtype=bool), n + 1  # one block of everything
+    coarse = _block_size(n)
+    for size in (coarse, 1) if coarse > 1 else (1,):
+        first, last = _blocks(n, size)
+        inside = first // outer  # the previous level's block of each block
+        blocks = _admissible(first, min_seg_len, last) & keep[np.ix_(inside, inside)]
+        i, j = np.nonzero(np.isfinite(_least_through(np.where(blocks, 0.0, np.inf), k)))
+        lower = np.full(blocks.shape, np.inf)
+        lower[i, j] = _block_bounds(stats, first, last, i, j, slack)
+
+        # incumbent: the bound-optimal partition on the block starts
+        grid = first.copy()
+        grid[-1] = n
+        try:
+            _, picked = _dp_minimize(
+                np.where(_admissible(grid, min_seg_len), lower, np.inf), k
+            )
+        except InfeasiblePartitionError:
+            pass  # no partition on this grid, so no pruning at this level
+        else:
+            ends = grid[[0, *picked, -1]]
+            costs = pair_costs(dataset, np.column_stack([ends[:-1], ends[1:]]), config)
+            table[ends[:-1], ends[1:]] = costs
+            upper = min(upper, costs.sum())
+        keep, outer = _least_through(lower, k) <= upper + slack, size
+
+    j1, j2 = np.nonzero(keep & np.isinf(table))
     table[j1, j2] = pair_costs(dataset, np.column_stack([j1, j2]), config)
     return table
 
@@ -544,33 +605,47 @@ def optimal_breakpoints(
     table across several K values; the program then runs over it as given.
 
     Without one, only the segments that can lie on an optimal partition
-    are solved:
+    are solved.  The work runs coarse to fine: first on s x s blocks of
+    (start, end) pairs, block i holding the nodes ``i*s .. i*s + s - 1``,
+    with s about sqrt(n) / 2 (s = 1, the per-segment pass alone, up to
+    n = 100); then, with s = 1, on the segments of the blocks that survive.
+    Each pass takes these steps:
 
     1. *Bound.*  Each segment's cost is at least its unpenalized
-       least-squares RSS, computed for all segments at once from the
-       cumulative statistics by a batched Cholesky solve whose Gram matrices
-       have each diagonal entry shifted down by 1e-10 of itself (the shift
-       only lowers the bound, dwarfs the rounding and follows any rescaling
-       of a covariate).  Segments whose shifted Gram matrix is not positive
-       definite get the bound 0; every bound is lowered by a slack of
-       ``1e-9 * y'y``, y'y taken over the whole sample.
-    2. *Best bound through each segment.*  A forward and a backward pass
-       over the bound table give, for every segment, the least bound total
-       of a K-break partition that uses it.
-    3. *Incumbent.*  The K-break partition that minimizes the bound total
-       is scored with ``pair_costs``; its score U is attained.
-    4. *Fill.*  ``pair_costs`` solves only the segments whose best bound is
-       at most U plus the slack; all others stay +inf.
+       least-squares RSS, which only grows with the segment.  The bound of
+       a block is that of its innermost segment, from the block's last
+       start to its first end (0 when that segment is empty), so it holds
+       for every segment in the block; at s = 1 it is the segment's own.
+       Bounds come from the cumulative statistics by a batched Cholesky
+       solve whose Gram matrices have each diagonal entry shifted down by
+       1e-10 of itself (the shift only lowers the bound, dwarfs the
+       rounding and follows any rescaling of a covariate).  Segments whose
+       shifted Gram matrix is not positive definite get the bound 0; every
+       bound is lowered by a slack of ``1e-9 * y'y``, y'y taken over the
+       whole sample.  Only blocks on some admissible K-partition are
+       bounded.
+    2. *Best bound through each block.*  A forward and a backward pass
+       over the bound table give, for every block, the least bound total
+       of a K-break partition through it.
+    3. *Incumbent.*  The K-break partition on the block starts (and the
+       last node) that minimizes the bound total is scored with
+       ``pair_costs``; its score is attained, and U is the least such
+       score so far.  A grid with no admissible K-partition scores none.
+    4. *Prune.*  Blocks whose best bound exceeds U plus the slack are
+       dropped, with every segment in them.
 
-    The search over this table is exact.  A pruned segment lies only on
-    partitions whose bound total, and hence cost, exceeds U, so it is on no
-    optimal partition, and pruning only raises entries.  The segments of
-    the partition the dense table would return all survive, with the same
-    costs, so the dynamic program finds the same minimum at every node it
-    reconstructs from and makes the same lexicographic choices:
-    breakpoints, tie-breaks and ``total_score`` equal those of the dense
-    search.  Solver failures surface only from the segments actually
-    solved.
+    Then ``pair_costs`` solves the surviving segments not yet scored; all
+    others stay +inf.
+
+    The search over this table is exact.  A dropped block holds only
+    segments on partitions whose bound total, and hence cost, exceeds U,
+    an attained score, so none of them is on an optimal partition, and
+    pruning only raises entries.  The segments of the partition the dense
+    table would return all survive, with the same costs, so the dynamic
+    program finds the same minimum at every node it reconstructs from and
+    makes the same lexicographic choices: breakpoints, tie-breaks and
+    ``total_score`` equal those of the dense search.  Solver failures
+    surface only from the segments actually solved.
     """
     min_len = _search_min_len(dataset, k, config, criterion)
     if cost_table is None:

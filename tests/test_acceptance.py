@@ -188,6 +188,14 @@ def test_criterion_5_ls_baseline_never_zeroes(
     assert ok, line
 
 
+def _enumeration_mismatch(trial, name, fit, best_bps, best_total):
+    if fit.breakpoints != best_bps:
+        return f"trial {trial}: {name}={fit.breakpoints} enum={best_bps}"
+    if abs(fit.total_score - best_total) > 1e-9 * max(1.0, abs(best_total)):
+        return f"trial {trial}: {name} score {fit.total_score} enum {best_total}"
+    return None
+
+
 def test_criterion_6_dp_matches_enumeration():
     rng = np.random.default_rng(2024)
     families = [
@@ -197,6 +205,7 @@ def test_criterion_6_dp_matches_enumeration():
     ]
     start = time.perf_counter()
     checked = 0
+    mismatch = None
     for trial in range(500):
         n = int(rng.integers(10, 25))
         p = int(rng.integers(1, 4))
@@ -228,21 +237,23 @@ def test_criterion_6_dp_matches_enumeration():
             if total < best_total:
                 best_total, best_bps = total, bps
 
-        fit = optimal_breakpoints(ds, k, config, crit, cost_table=table)
-        if fit.breakpoints != best_bps:
-            mismatch = f"trial {trial}: dp={fit.breakpoints} enum={best_bps}"
-            break
-        if abs(fit.total_score - best_total) > 1e-9 * max(1.0, abs(best_total)):
-            mismatch = (
-                f"trial {trial}: dp score {fit.total_score} enum {best_total}"
-            )
+        # the search over the dense table, and the pruned search on its own
+        mismatch = _enumeration_mismatch(
+            trial, "dp", optimal_breakpoints(ds, k, config, crit, cost_table=table),
+            best_bps, best_total,
+        ) or _enumeration_mismatch(
+            trial, "pruned", optimal_breakpoints(ds, k, config, crit),
+            best_bps, best_total,
+        )
+        if mismatch:
             break
         checked += 1
-    else:
-        mismatch = None
     seconds = time.perf_counter() - start
     ok = mismatch is None and checked == 500 and seconds <= 120.0
-    detail = f"{checked}/500 random instances agree, {seconds:.0f}s (<= 120s)"
+    detail = (
+        f"{checked}/500 random instances agree with the dense and the pruned "
+        f"search, {seconds:.0f}s (<= 120s)"
+    )
     if mismatch:
         detail += f"; first mismatch: {mismatch}"
     line = _report(6, ok, detail)

@@ -2,9 +2,12 @@
 
 ``optimal_breakpoints`` without a ``cost_table`` solves only the segments
 whose least-squares lower bound leaves them a chance of lying on an optimal
-partition.  These tests hold it to the dense search bit for bit, check the
-bound itself on awkward designs, and pin the typed consistency error that
-replaced the runtime asserts (it must fire under ``python -O`` too).
+partition; it bounds blocks of segments first and refines the blocks that
+survive.  These tests hold it to the dense search bit for bit, also at
+forced small block sizes, check the segment and block bounds on awkward
+designs, count the bounds an n = 1500 fit needs, and pin the typed
+consistency error that replaced the runtime asserts (it must fire under
+``python -O`` too).
 """
 
 import subprocess
@@ -16,17 +19,25 @@ import pytest
 
 from segbreak import (
     ConsistencyError,
+    CriterionConfig,
     Dataset,
     PenaltyConfig,
     build_cost_table,
     effective_min_seg_len,
     optimal_breakpoints,
     pair_costs,
+    refit_breakpoints_two_stage,
     replication_dataset,
     table_preset,
 )
 from segbreak import segmentation
-from segbreak.segmentation import _BOUND_SLACK, _cumulative_stats, _rss_bounds
+from segbreak.segmentation import (
+    _BOUND_SLACK,
+    _block_bounds,
+    _blocks,
+    _cumulative_stats,
+    _rss_bounds,
+)
 
 ADAPTIVE = PenaltyConfig()
 LASSO = PenaltyConfig(family="lasso_type", gamma=1.0)
@@ -35,17 +46,34 @@ LEAST_SQUARES = PenaltyConfig(family="lasso_type", gamma=1.0, lambda_scale=0.0)
 BRIDGE = PenaltyConfig(family="lasso_type", gamma=0.5)
 
 
-def _dense_table(ds, config):
-    return build_cost_table(ds, config, effective_min_seg_len(config, None, ds.p))
+# Block sizes the pruned search is forced to use besides its own rule's:
+# the preset lengths 50, 100 and 400 are multiples of 2 and of neither 3
+# nor 7, and the presets' minimum segment lengths (5 and 11) lie on both
+# sides of them.
+BLOCK_SIZES = (2, 3, 7)
 
 
-def _assert_same_search(ds, ks, config):
-    table = _dense_table(ds, config)
-    for k in ks:
-        dense = optimal_breakpoints(ds, k, config, cost_table=table)
-        pruned = optimal_breakpoints(ds, k, config)
-        assert pruned.breakpoints == dense.breakpoints, k
-        assert pruned.total_score == dense.total_score, k
+def _dense_table(ds, config, min_len=None):
+    if min_len is None:
+        min_len = effective_min_seg_len(config, None, ds.p)
+    return build_cost_table(ds, config, min_len)
+
+
+def _assert_same_search(monkeypatch, ds, ks, config, min_len=None):
+    """Pruned == dense, under the block-size rule and at each forced size."""
+    crit = None if min_len is None else CriterionConfig(min_seg_len=min_len)
+    table = _dense_table(ds, config, min_len)
+    dense = {k: optimal_breakpoints(ds, k, config, crit, cost_table=table) for k in ks}
+    rule = segmentation._block_size
+    for size in (None, *BLOCK_SIZES):
+        monkeypatch.setattr(
+            segmentation, "_block_size", rule if size is None else lambda n: size
+        )
+        for k in ks:
+            pruned = optimal_breakpoints(ds, k, config, crit)
+            assert pruned.breakpoints == dense[k].breakpoints, (size, k)
+            assert pruned.total_score == dense[k].total_score, (size, k)
+    monkeypatch.setattr(segmentation, "_block_size", rule)
 
 
 def _two_regimes(n, p, b, seed, scale=1.0):
@@ -70,10 +98,10 @@ def _all_pairs(n, min_len):
     "layout, reps",
     [(1, range(4)), (2, range(3)), (3, (0, 2))],
 )
-def test_pruned_matches_dense_on_presets(layout, reps):
+def test_pruned_matches_dense_on_presets(monkeypatch, layout, reps):
     spec, config = table_preset(layout)
     for rep in reps:
-        _assert_same_search(replication_dataset(spec, rep), range(4), config)
+        _assert_same_search(monkeypatch, replication_dataset(spec, rep), range(4), config)
 
 
 @pytest.mark.parametrize(
@@ -81,18 +109,39 @@ def test_pruned_matches_dense_on_presets(layout, reps):
     [ADAPTIVE, LASSO, RIDGE, LEAST_SQUARES],
     ids=["adaptive", "lasso", "ridge", "least-squares"],
 )
-def test_pruned_matches_dense_across_families(config):
+def test_pruned_matches_dense_across_families(monkeypatch, config):
     spec, _ = table_preset(2)
     for rep in (0, 7):
-        _assert_same_search(replication_dataset(spec, rep), range(4), config)
+        _assert_same_search(monkeypatch, replication_dataset(spec, rep), range(4), config)
 
 
-def test_pruned_matches_dense_bridge():
+def test_pruned_matches_dense_bridge(monkeypatch):
     ds = _two_regimes(n=30, p=2, b=12, seed=3)
-    _assert_same_search(ds, range(3), BRIDGE)
+    _assert_same_search(monkeypatch, ds, range(3), BRIDGE)
 
 
-def test_tie_keeps_lexicographically_smallest():
+# 42 is the first node of a block at every forced size, 41 and 43 are one
+# sample off it; 85 is a multiple of none of the sizes.
+@pytest.mark.parametrize("b", [41, 42, 43])
+def test_pruned_matches_dense_around_block_edges(monkeypatch, b):
+    ds = _two_regimes(n=85, p=3, b=b, seed=23)
+    _assert_same_search(monkeypatch, ds, range(4), LASSO)
+
+
+@pytest.mark.parametrize("min_len", [1, 2, 6, 12])
+def test_pruned_matches_dense_at_minimum_lengths_around_block_sizes(monkeypatch, min_len):
+    ds = _two_regimes(n=57, p=2, b=28, seed=29)
+    _assert_same_search(monkeypatch, ds, range(4), LASSO, min_len=min_len)
+
+
+def test_pruned_matches_dense_when_the_block_grid_has_no_partition(monkeypatch):
+    # n = (K+1) * min_len leaves one 2-break partition, (12, 24), and the
+    # block starts at size 7 miss it, so that level scores no incumbent
+    ds = _two_regimes(n=36, p=2, b=12, seed=31)
+    _assert_same_search(monkeypatch, ds, range(3), LASSO, min_len=12)
+
+
+def test_tie_keeps_lexicographically_smallest(monkeypatch):
     # A palindromic sample of integers: every cumulative sum is exact, so a
     # segment and its mirror image have statistics with the same bits, and
     # the split at t ties exactly with the split at n - t.  Regimes run
@@ -116,9 +165,7 @@ def test_tie_keeps_lexicographically_smallest():
         assert tied.tolist() == [m, n - m]
         dense = optimal_breakpoints(ds, 1, config, cost_table=table)
         assert dense.breakpoints == (m,)
-        pruned = optimal_breakpoints(ds, 1, config)
-        assert pruned.breakpoints == dense.breakpoints
-        assert pruned.total_score == dense.total_score
+        _assert_same_search(monkeypatch, ds, (1,), config)
 
 
 def _assert_few_solved(monkeypatch, ds, k, config):
@@ -157,20 +204,16 @@ FAMILIES = [ADAPTIVE, LASSO, RIDGE, LEAST_SQUARES]
 FAMILY_IDS = ["adaptive", "lasso", "ridge", "least-squares"]
 
 
-@pytest.mark.parametrize("config", FAMILIES, ids=FAMILY_IDS)
-def test_bound_with_segments_of_length_p(config):
-    ds = _two_regimes(n=60, p=4, b=25, seed=11)
-    _assert_bound_holds(ds, config, min_len=ds.p)
+def _length_p_design():
+    return _two_regimes(n=60, p=4, b=25, seed=11)
 
 
-@pytest.mark.parametrize("config", FAMILIES, ids=FAMILY_IDS)
-def test_bound_with_column_constant_inside_a_segment(config):
+def _constant_column_design():
     ds = _two_regimes(n=70, p=3, b=35, seed=13)
     X = ds.X.copy()
     X[:35, 1] = 1.0  # constant over the first regime, varying after it
     X[40:48, 2] = 0.0  # and a column that vanishes over a stretch
-    ds = Dataset(y=ds.y, X=X)
-    _assert_bound_holds(ds, config, min_len=5)
+    return Dataset(y=ds.y, X=X)
 
 
 def _scaled_column(column_scale):
@@ -178,6 +221,29 @@ def _scaled_column(column_scale):
     X = ds.X.copy()
     X[:, 1] *= column_scale
     return Dataset(y=ds.y, X=X)
+
+
+def _collinear_design(noise):
+    # x3 = x1 + noise: near-singular Grams, where the least-squares and the
+    # lasso costs are hardest to evaluate
+    rng = np.random.default_rng(0)
+    n, p = 60, 3
+    X = rng.standard_normal((n, p))
+    X[:, 2] = X[:, 0] + noise * rng.standard_normal(n)
+    y = X @ np.array([1.0, -2.0, 0.5]) + rng.standard_normal(n)
+    y[30:] += X[30:] @ np.array([2.0, 1.0, 0.0])
+    return Dataset(y=y, X=X)
+
+
+@pytest.mark.parametrize("config", FAMILIES, ids=FAMILY_IDS)
+def test_bound_with_segments_of_length_p(config):
+    ds = _length_p_design()
+    _assert_bound_holds(ds, config, min_len=ds.p)
+
+
+@pytest.mark.parametrize("config", FAMILIES, ids=FAMILY_IDS)
+def test_bound_with_column_constant_inside_a_segment(config):
+    _assert_bound_holds(_constant_column_design(), config, min_len=5)
 
 
 @pytest.mark.parametrize("column_scale", [1e-4, 1e4, 1e5])
@@ -189,29 +255,89 @@ def test_bound_with_extreme_column_scales(config, column_scale):
 
 def test_pruning_keeps_working_with_a_scaled_column(monkeypatch):
     ds = _scaled_column(1e5)
-    _assert_same_search(ds, range(3), ADAPTIVE)
+    _assert_same_search(monkeypatch, ds, range(3), ADAPTIVE)
     _assert_few_solved(monkeypatch, ds, 1, ADAPTIVE)
 
 
 @pytest.mark.parametrize("noise", [1e-7, 1e-4])
 @pytest.mark.parametrize("config", [RIDGE, LEAST_SQUARES], ids=["ridge", "least-squares"])
 def test_bound_on_collinear_design(config, noise):
-    # x3 = x1 + noise: near-singular Grams, where the least-squares and the
-    # lasso costs are hardest to evaluate.  The lasso families crawl for
-    # minutes on this design, so the bound is checked against the closed
-    # forms; least squares is also where bound and cost coincide.
-    rng = np.random.default_rng(0)
-    n, p = 60, 3
-    X = rng.standard_normal((n, p))
-    X[:, 2] = X[:, 0] + noise * rng.standard_normal(n)
-    y = X @ np.array([1.0, -2.0, 0.5]) + rng.standard_normal(n)
-    y[30:] += X[30:] @ np.array([2.0, 1.0, 0.0])
-    _assert_bound_holds(Dataset(y=y, X=X), config, min_len=4, informative=False)
+    # The lasso families crawl for minutes on this design, so the bound is
+    # checked against the closed forms; least squares is also where bound
+    # and cost coincide.
+    _assert_bound_holds(_collinear_design(noise), config, min_len=4, informative=False)
 
 
 def test_bound_on_bridge():
     ds = _two_regimes(n=24, p=2, b=12, seed=19)
     _assert_bound_holds(ds, BRIDGE, min_len=4)
+
+
+# The awkward designs above, each with the minimum segment length of its
+# bound test.
+AWKWARD = {
+    "length-p": (_length_p_design, 4),
+    "constant-column": (_constant_column_design, 5),
+    "column-scale-1e-4": (lambda: _scaled_column(1e-4), 5),
+    "column-scale-1e4": (lambda: _scaled_column(1e4), 5),
+    "column-scale-1e5": (lambda: _scaled_column(1e5), 5),
+    "collinear-1e-7": (lambda: _collinear_design(1e-7), 4),
+    "collinear-1e-4": (lambda: _collinear_design(1e-4), 4),
+}
+
+
+@pytest.mark.parametrize("design", AWKWARD)
+def test_block_bound_below_every_segment_in_its_block(design):
+    # Every family's cost of a segment is at least its least-squares RSS,
+    # computed here from the rows.  The block bound is held to that, not to
+    # the segment's own ``_rss_bounds`` value: the diagonal shift and the
+    # positive-definiteness gate of that bound are not monotone in the
+    # segment, and on the collinear 1e-4 design a block bound exceeds the
+    # shifted bound of a segment in its block.
+    build, min_len = AWKWARD[design]
+    ds = build()
+    pairs = _all_pairs(ds.n, min_len)
+    rss = np.empty(len(pairs))
+    for m, (a, b) in enumerate(pairs):
+        X, y = ds.X[a:b], ds.y[a:b]
+        rss[m] = np.sum((y - X @ np.linalg.lstsq(X, y, rcond=None)[0]) ** 2)
+    stats = _cumulative_stats(ds)
+    slack = _BOUND_SLACK * stats[2][-1]
+    positive = (_rss_bounds(stats, pairs, slack) > 0.0).any()
+    for size in (*BLOCK_SIZES, 16):
+        first, last = _blocks(ds.n, size)
+        block = _block_bounds(stats, first, last, pairs[:, 0] // size, pairs[:, 1] // size, slack)
+        worst = int(np.argmax(block - rss))
+        assert block[worst] <= rss[worst], (size, tuple(pairs[worst]), block[worst], rss[worst])
+        # where segments get positive bounds, blocks must too, or the coarse
+        # pass prunes nothing
+        assert (block > 0.0).any() == positive, size
+
+
+def test_exact_fit_at_n1500_bounds_few_segments(monkeypatch):
+    # A deterministic proxy for the run time of an exact n = 1500 fit: the
+    # per-segment bounds were nearly all of it before the block pass.
+    spec, config = table_preset(5)
+    ds = replication_dataset(spec, 0)
+    rows = []
+    original = segmentation._rss_bounds
+
+    def counting(stats, pairs, slack):
+        rows.append(len(pairs))
+        return original(stats, pairs, slack)
+
+    monkeypatch.setattr(segmentation, "_rss_bounds", counting)
+    fit = optimal_breakpoints(ds, 2, config)
+    monkeypatch.undo()
+    m = effective_min_seg_len(config, None, ds.p)
+    admissible = (ds.n + 1 - m) * (ds.n + 2 - m) // 2
+    assert sum(rows) < admissible // 100, (rows, admissible)
+
+    truth = np.array([0, *spec.breakpoints, ds.n])
+    true_score = pair_costs(ds, np.column_stack([truth[:-1], truth[1:]]), config).sum()
+    two_stage = refit_breakpoints_two_stage(ds, 2, config, grid_step=20).total_score
+    for other in (true_score, two_stage):
+        assert fit.total_score <= other * (1.0 + 1e-9), (fit.total_score, other)
 
 
 def test_refit_drift_raises_typed_error():
