@@ -16,21 +16,20 @@ and for problems that use the whole sweep budget.  The scalar
 it refits the segments of the chosen partition, whose total must agree
 with the search's, and the tests hold both paths to the same costs.
 ``build_cost_table`` solves every admissible segment, which
-``select_k`` shares across K values.  A single exact K-break search
-instead solves only the segments that can lie on an optimal partition:
-every segment's cost is bounded below by its unpenalized least-squares
-RSS, which only grows with the segment, so the RSS of the innermost
-segment of a block of (start, end) pairs bounds the whole block.  A
-forward and a backward pass over the block bounds give the least bound
-total of a K-partition through each block, and a block whose best bound
-exceeds the attained score of an incumbent partition (plus a rounding
-slack of ``1e-9 * y'y``) is dropped.  The segments of the surviving
-blocks are then bounded and pruned one by one in the same way, and only
-their survivors are solved.  The search over the pruned table returns
-the same breakpoints and score as over the dense one;
-``optimal_breakpoints`` gives the argument.  ``refit_breakpoints_two_stage``
-is an explicitly approximate alternative for long series: a coarse grid
-search followed by local refinement of each breakpoint.
+``select_k`` shares across K values.  A single K-break search instead
+solves only the segments that can lie on an optimal partition of its
+nodes: every sample position for ``optimal_breakpoints``, a coarse grid
+for the approximate ``refit_breakpoints_two_stage``, which then refines
+each breakpoint locally.  Every segment's cost is at least its
+unpenalized least-squares RSS, which only grows with the segment, so the
+RSS of the innermost segment of a block of (start, end) node pairs
+bounds the whole block.  Blocks, and then the segments of the surviving
+blocks, whose best bounded K-partition exceeds the attained score of an
+incumbent partition (plus a rounding slack of ``1e-9 * y'y``) are
+dropped, and only the survivors are solved, so a segment that exhausts
+the sweep budget fails a search only if it survives.  On the same nodes
+the pruned table gives the dense table's breakpoints and score
+(``optimal_breakpoints`` gives the argument).
 """
 
 from __future__ import annotations
@@ -280,17 +279,19 @@ def pair_costs(dataset: Dataset, pairs, config: PenaltyConfig) -> np.ndarray:
             raise EmptySegmentError("pairs contain an empty segment")
         if (pairs[:, 0] < 0).any() or (pairs[:, 1] > dataset.n).any():
             raise EmptySegmentError("pairs reach outside the sample")
-    m_total = pairs.shape[0]
-    costs = np.empty(m_total)
-    if m_total == 0:
-        return costs
+    return _pair_costs(dataset, _cumulative_stats(dataset), pairs, config)
+
+
+def _pair_costs(dataset: Dataset, stats, pairs: np.ndarray, config: PenaltyConfig):
+    """``pair_costs`` of valid ``pairs``, given the cumulative ``stats``."""
+    costs = np.empty(len(pairs))
     if config.family != FAMILY_ADAPTIVE and config.gamma not in (1.0, 2.0):
         # bridge exponents have no vectorized path
         for i, (a, bnd) in enumerate(pairs):
             costs[i] = segment_cost(dataset, (int(a), int(bnd)), config).penalized_cost
         return costs
 
-    for sl, G, b, yy in _segment_stacks(_cumulative_stats(dataset), pairs):
+    for sl, G, b, yy in _segment_stacks(stats, pairs):
         costs[sl] = _chunk_costs(dataset, pairs[sl], G, b, yy, config)
     return costs
 
@@ -463,8 +464,8 @@ def _least_through(table: np.ndarray, k: int) -> np.ndarray:
 
 
 def _block_size(n: int) -> int:
-    """Side s of the s x s blocks of (start, end) pairs that the coarse pass
-    bounds as one.
+    """Side s of the s x s blocks of (start, end) node pairs that the coarse
+    pass over the nodes 0 .. n bounds as one.
 
     About (n/s)^2 / 2 blocks get a bound, and each block that survives
     holds about s^2 segments to bound one by one, so s near sqrt(n) / 2
@@ -475,14 +476,14 @@ def _block_size(n: int) -> int:
 
 
 def _blocks(n: int, size: int):
-    """First and last node of each block of ``size`` consecutive nodes."""
+    """First and last of the nodes 0 .. n in each block of ``size``."""
     first = np.arange(0, n + 1, size)
     return first, np.minimum(first + size - 1, n)
 
 
 def _block_bounds(stats, first, last, i, j, slack: float) -> np.ndarray:
     """Lower bound on the cost of every segment from a node of block i[m]
-    to a node of block j[m], for each m.
+    to one of block j[m]; ``first`` and ``last`` are each block's end positions.
 
     Each such segment contains the segment (last[i], first[j]] when that
     is not empty, and a least-squares RSS only grows with its segment, so
@@ -498,49 +499,53 @@ def _block_bounds(stats, first, last, i, j, slack: float) -> np.ndarray:
 
 
 def _pruned_cost_table(
-    dataset: Dataset, k: int, config: PenaltyConfig, min_seg_len: int
+    dataset: Dataset, stats, k: int, config: PenaltyConfig, min_seg_len: int, nodes=None
 ) -> np.ndarray:
-    """Cost table for the exact K-break search, filled only where needed.
+    """Cost table of the exact K-break search over ``nodes`` (increasing
+    sample positions from 0 to n, all by default), filled only where needed.
 
-    Blocks of segments are bounded and pruned first, then the segments of
-    the surviving blocks one by one.  Entries hold the ``pair_costs`` cost
-    of every segment whose best bounded partition can still reach the
-    best incumbent score, and +inf elsewhere; ``optimal_breakpoints``
-    explains why the search over it is exact.
+    Entry [a, b] is the cost from node a to node b, or +inf for a pruned
+    segment, which is never solved; ``optimal_breakpoints`` gives the
+    rules.  Nodes with no K-partition raise InfeasiblePartitionError.
     """
-    n = dataset.n
-    stats = _cumulative_stats(dataset)
+    if nodes is None:
+        nodes = np.arange(dataset.n + 1)
+    end = len(nodes) - 1  # index of the last node
     slack = _BOUND_SLACK * float(stats[2][-1])
-    table = np.full((n + 1, n + 1), np.inf)
+    table = np.full((end + 1, end + 1), np.inf)
     upper = np.inf
-    keep, outer = np.ones((1, 1), dtype=bool), n + 1  # one block of everything
-    coarse = _block_size(n)
+    keep, outer = np.ones((1, 1), dtype=bool), end + 1  # one block of everything
+    coarse = _block_size(end)
     for size in (coarse, 1) if coarse > 1 else (1,):
-        first, last = _blocks(n, size)
+        first, last = _blocks(end, size)
         inside = first // outer  # the previous level's block of each block
-        blocks = _admissible(first, min_seg_len, last) & keep[np.ix_(inside, inside)]
+        first_at, last_at = nodes[first], nodes[last]
+        blocks = _admissible(first_at, min_seg_len, last_at) & keep[np.ix_(inside, inside)]
         i, j = np.nonzero(np.isfinite(_least_through(np.where(blocks, 0.0, np.inf), k)))
+        if not len(i):
+            raise InfeasiblePartitionError(f"no admissible placement of {k} breakpoints")
         lower = np.full(blocks.shape, np.inf)
-        lower[i, j] = _block_bounds(stats, first, last, i, j, slack)
+        lower[i, j] = _block_bounds(stats, first_at, last_at, i, j, slack)
 
         # incumbent: the bound-optimal partition on the block starts
         grid = first.copy()
-        grid[-1] = n
+        grid[-1] = end
         try:
             _, picked = _dp_minimize(
-                np.where(_admissible(grid, min_seg_len), lower, np.inf), k
+                np.where(_admissible(nodes[grid], min_seg_len), lower, np.inf), k
             )
         except InfeasiblePartitionError:
             pass  # no partition on this grid, so no pruning at this level
         else:
             ends = grid[[0, *picked, -1]]
-            costs = pair_costs(dataset, np.column_stack([ends[:-1], ends[1:]]), config)
+            at = nodes[ends]
+            costs = _pair_costs(dataset, stats, np.column_stack([at[:-1], at[1:]]), config)
             table[ends[:-1], ends[1:]] = costs
             upper = min(upper, costs.sum())
         keep, outer = _least_through(lower, k) <= upper + slack, size
 
-    j1, j2 = np.nonzero(keep & np.isinf(table))
-    table[j1, j2] = pair_costs(dataset, np.column_stack([j1, j2]), config)
+    a, b = np.nonzero(keep & np.isinf(table))
+    table[a, b] = _pair_costs(dataset, stats, np.column_stack([nodes[a], nodes[b]]), config)
     return table
 
 
@@ -616,14 +621,10 @@ def optimal_breakpoints(
        a block is that of its innermost segment, from the block's last
        start to its first end (0 when that segment is empty), so it holds
        for every segment in the block; at s = 1 it is the segment's own.
-       Bounds come from the cumulative statistics by a batched Cholesky
-       solve whose Gram matrices have each diagonal entry shifted down by
-       1e-10 of itself (the shift only lowers the bound, dwarfs the
-       rounding and follows any rescaling of a covariate).  Segments whose
-       shifted Gram matrix is not positive definite get the bound 0; every
-       bound is lowered by a slack of ``1e-9 * y'y``, y'y taken over the
-       whole sample.  Only blocks on some admissible K-partition are
-       bounded.
+       ``_rss_bounds`` computes it from the cumulative statistics, lowered
+       by a slack of ``1e-9 * y'y``, y'y taken over the whole sample.
+       Only blocks on some admissible K-partition are bounded; without
+       one, the search raises InfeasiblePartitionError.
     2. *Best bound through each block.*  A forward and a backward pass
        over the bound table give, for every block, the least bound total
        of a K-break partition through it.
@@ -635,7 +636,8 @@ def optimal_breakpoints(
        dropped, with every segment in them.
 
     Then ``pair_costs`` solves the surviving segments not yet scored; all
-    others stay +inf.
+    others stay +inf.  ``refit_breakpoints_two_stage`` runs the same passes
+    over the nodes of its grid, which the argument below does not depend on.
 
     The search over this table is exact.  A dropped block holds only
     segments on partitions whose bound total, and hence cost, exceeds U,
@@ -649,7 +651,7 @@ def optimal_breakpoints(
     """
     min_len = _search_min_len(dataset, k, config, criterion)
     if cost_table is None:
-        cost_table = _pruned_cost_table(dataset, k, config, min_len)
+        cost_table = _pruned_cost_table(dataset, _cumulative_stats(dataset), k, config, min_len)
     total, nodes = _dp_minimize(cost_table, k)
     return _assemble_fit(dataset, nodes, config, expected_total=total)
 
@@ -664,16 +666,18 @@ def refit_breakpoints_two_stage(
 ) -> ChangePointFit:
     """Approximate K-break search: coarse grid, then local refinement.
 
-    Stage 1 runs the exact dynamic program restricted to breakpoints on a
-    grid of spacing ``grid_step``.  Stage 2 re-optimizes each breakpoint
-    exhaustively within ``grid_step`` of its current value, holding the
-    others fixed, sweeping until no breakpoint moves.  Each window is costed
-    by one ``pair_costs`` call; a breakpoint moves only when some position
-    strictly lowers the total of its two segments, and then to the first
-    position of least total.  Only the final refit of the chosen segments
-    runs the scalar ``segment_cost``.  The result is coordinate-wise locally
-    optimal but not guaranteed to be the global minimizer.  ``grid_step=1``
-    delegates to ``optimal_breakpoints``.
+    Stage 1 is the pruned exact search of ``optimal_breakpoints`` on the
+    grid of spacing ``grid_step`` plus 0 and n, halving the spacing until
+    a K-partition fits; a grid segment that exhausts the sweep budget
+    fails the fit only if it survives pruning.  Stage 2 re-optimizes each
+    breakpoint exhaustively within ``grid_step`` of its current value,
+    holding the others fixed, sweeping until no breakpoint moves; a
+    breakpoint moves only when some position strictly lowers the total of
+    its two segments, and then to the first position of least total.  Only
+    the final refit of the chosen segments runs the scalar
+    ``segment_cost``.  The result is coordinate-wise locally optimal but
+    not guaranteed to be the global minimizer.  ``grid_step=1`` delegates
+    to ``optimal_breakpoints``.
     """
     if grid_step < 1:
         raise ValueError("grid_step must be >= 1")
@@ -684,17 +688,15 @@ def refit_breakpoints_two_stage(
         return _assemble_fit(dataset, (), config)
 
     n = dataset.n
+    stats = _cumulative_stats(dataset)
     step = grid_step
     while True:
         interior = [t for t in range(step, n, step) if min_len <= t <= n - min_len]
         nodes = np.array([0, *interior, n], dtype=np.int64)
-        i1, i2 = np.nonzero(_admissible(nodes, min_len))
-        matrix = np.full((len(nodes), len(nodes)), np.inf)
-        matrix[i1, i2] = pair_costs(
-            dataset, np.column_stack([nodes[i1], nodes[i2]]), config
-        )
         try:
-            _, picked = _dp_minimize(matrix, k)
+            _, picked = _dp_minimize(
+                _pruned_cost_table(dataset, stats, k, config, min_len, nodes), k
+            )
             break
         except InfeasiblePartitionError:
             if step == 1:
@@ -708,17 +710,14 @@ def refit_breakpoints_two_stage(
             lo = max(bounds[r - 1] + min_len, bounds[r] - grid_step)
             hi = min(bounds[r + 1] - min_len, bounds[r] + grid_step)
             ts = np.arange(lo, hi + 1)
-            costs = pair_costs(dataset, np.concatenate([
+            costs = _pair_costs(dataset, stats, np.concatenate([
                 np.column_stack([np.full_like(ts, bounds[r - 1]), ts]),
                 np.column_stack([ts, np.full_like(ts, bounds[r + 1])]),
             ]), config)
             totals = costs[: len(ts)] + costs[len(ts) :]
-            best_t, best_v = bounds[r], totals[bounds[r] - lo]
-            for t, v in zip(range(lo, hi + 1), totals):
-                if v < best_v:
-                    best_t, best_v = t, v
-            if best_t != bounds[r]:
-                bounds[r] = best_t
+            best = int(np.argmin(totals))  # the first position of least total
+            if totals[best] < totals[bounds[r] - lo]:
+                bounds[r] = lo + best
                 moved = True
         if not moved:
             break

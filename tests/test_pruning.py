@@ -1,13 +1,15 @@
 """Bound-based pruning of the exact search: same answer as the dense table.
 
-``optimal_breakpoints`` without a ``cost_table`` solves only the segments
-whose least-squares lower bound leaves them a chance of lying on an optimal
-partition; it bounds blocks of segments first and refines the blocks that
-survive.  These tests hold it to the dense search bit for bit, also at
-forced small block sizes, check the segment and block bounds on awkward
-designs, count the bounds an n = 1500 fit needs, and pin the typed
-consistency error that replaced the runtime asserts (it must fire under
-``python -O`` too).
+``optimal_breakpoints`` without a ``cost_table``, and the coarse grid of
+``refit_breakpoints_two_stage``, solve only the segments whose least-squares
+lower bound leaves them a chance of lying on an optimal partition; the
+search bounds blocks of segments first and refines the blocks that survive.
+These tests hold both searches to their dense counterparts bit for bit
+(the full table, and the grid with every admissible segment solved), also
+at forced small block sizes, check the segment and block bounds on awkward
+designs, count the bounds and solves an n = 1500 fit needs, and pin the
+typed consistency error that replaced the runtime asserts (it must fire
+under ``python -O`` too).
 """
 
 import subprocess
@@ -21,6 +23,7 @@ from segbreak import (
     ConsistencyError,
     CriterionConfig,
     Dataset,
+    InfeasiblePartitionError,
     PenaltyConfig,
     build_cost_table,
     effective_min_seg_len,
@@ -28,6 +31,7 @@ from segbreak import (
     pair_costs,
     refit_breakpoints_two_stage,
     replication_dataset,
+    select_k,
     table_preset,
 )
 from segbreak import segmentation
@@ -59,21 +63,76 @@ def _dense_table(ds, config, min_len=None):
     return build_cost_table(ds, config, min_len)
 
 
-def _assert_same_search(monkeypatch, ds, ks, config, min_len=None):
-    """Pruned == dense, under the block-size rule and at each forced size."""
-    crit = None if min_len is None else CriterionConfig(min_seg_len=min_len)
-    table = _dense_table(ds, config, min_len)
-    dense = {k: optimal_breakpoints(ds, k, config, crit, cost_table=table) for k in ks}
+def _each_block_size(monkeypatch):
+    """Yield the forced block size, None under the rule, with each in force."""
     rule = segmentation._block_size
     for size in (None, *BLOCK_SIZES):
         monkeypatch.setattr(
             segmentation, "_block_size", rule if size is None else lambda n: size
         )
+        yield size
+    monkeypatch.setattr(segmentation, "_block_size", rule)
+
+
+def _assert_same_search(monkeypatch, ds, ks, config, min_len=None):
+    """Pruned == dense, under the block-size rule and at each forced size."""
+    crit = None if min_len is None else CriterionConfig(min_seg_len=min_len)
+    table = _dense_table(ds, config, min_len)
+    dense = {k: optimal_breakpoints(ds, k, config, crit, cost_table=table) for k in ks}
+    for size in _each_block_size(monkeypatch):
         for k in ks:
             pruned = optimal_breakpoints(ds, k, config, crit)
             assert pruned.breakpoints == dense[k].breakpoints, (size, k)
             assert pruned.total_score == dense[k].total_score, (size, k)
-    monkeypatch.setattr(segmentation, "_block_size", rule)
+
+
+def _dense_grid_table(dataset, config, min_seg_len, nodes):
+    """Reference for ``segmentation._pruned_cost_table`` on a grid: every
+    admissible segment between the nodes solved, as the two-stage coarse
+    stage did before it was pruned.  A node set with no K-partition yields
+    a table on which the dynamic program raises InfeasiblePartitionError."""
+    i1, i2 = np.nonzero(segmentation._admissible(nodes, min_seg_len))
+    matrix = np.full((len(nodes), len(nodes)), np.inf)
+    matrix[i1, i2] = pair_costs(dataset, np.column_stack([nodes[i1], nodes[i2]]), config)
+    return matrix
+
+
+def _with_dense_grid(monkeypatch, run):
+    """``run()`` with every grid table built densely by the reference.
+
+    ``run`` searches one dataset under one config, so a table depends only
+    on its nodes and minimum length, and is built once for all K."""
+    pruned = segmentation._pruned_cost_table
+    tables = {}
+
+    def dense(dataset, stats, k, config, min_seg_len, nodes):
+        key = (min_seg_len, nodes.tobytes())
+        if key not in tables:
+            tables[key] = _dense_grid_table(dataset, config, min_seg_len, nodes)
+        return tables[key]
+
+    monkeypatch.setattr(segmentation, "_pruned_cost_table", dense)
+    try:
+        return run()
+    finally:
+        monkeypatch.setattr(segmentation, "_pruned_cost_table", pruned)
+
+
+def _assert_same_two_stage(monkeypatch, ds, ks, config, steps, min_len=None):
+    """Pruned coarse grid == dense coarse grid for each K and grid step,
+    under the block-size rule and at each forced size."""
+    crit = None if min_len is None else CriterionConfig(min_seg_len=min_len)
+    cases = [(k, step) for k in ks for step in steps]
+
+    def fits():
+        return [refit_breakpoints_two_stage(ds, k, config, crit, grid_step=step)
+                for k, step in cases]
+
+    dense = _with_dense_grid(monkeypatch, fits)
+    for size in _each_block_size(monkeypatch):
+        for case, want, got in zip(cases, dense, fits()):
+            assert got.breakpoints == want.breakpoints, (size, case)
+            assert got.total_score == want.total_score, (size, case)
 
 
 def _two_regimes(n, p, b, seed, scale=1.0):
@@ -168,15 +227,21 @@ def test_tie_keeps_lexicographically_smallest(monkeypatch):
         _assert_same_search(monkeypatch, ds, (1,), config)
 
 
-def _assert_few_solved(monkeypatch, ds, k, config):
+def _count_solved(monkeypatch):
+    """List that receives the row count of every batched cost call."""
     solved = []
-    original = segmentation.pair_costs
+    original = segmentation._pair_costs
 
-    def counting(dataset, pairs, cfg):
+    def counting(dataset, stats, pairs, cfg):
         solved.append(len(pairs))
-        return original(dataset, pairs, cfg)
+        return original(dataset, stats, pairs, cfg)
 
-    monkeypatch.setattr(segmentation, "pair_costs", counting)
+    monkeypatch.setattr(segmentation, "_pair_costs", counting)
+    return solved
+
+
+def _assert_few_solved(monkeypatch, ds, k, config):
+    solved = _count_solved(monkeypatch)
     optimal_breakpoints(ds, k, config)
     admissible = len(_all_pairs(ds.n, effective_min_seg_len(config, None, ds.p)))
     assert k + 1 <= sum(solved) <= admissible // 20
@@ -185,6 +250,117 @@ def _assert_few_solved(monkeypatch, ds, k, config):
 def test_pruning_solves_few_segments(monkeypatch):
     spec, config = table_preset(2)
     _assert_few_solved(monkeypatch, replication_dataset(spec, 0), 2, config)
+
+
+def _record_table_calls(monkeypatch):
+    """List that receives, for each ``_pruned_cost_table`` call, its nodes,
+    whether it raised InfeasiblePartitionError and the rows it solved."""
+    solved = _count_solved(monkeypatch)
+    calls = []
+    original = segmentation._pruned_cost_table
+
+    def recording(dataset, stats, k, config, min_seg_len, nodes):
+        before, infeasible = len(solved), False
+        try:
+            return original(dataset, stats, k, config, min_seg_len, nodes)
+        except InfeasiblePartitionError:
+            infeasible = True
+            raise
+        finally:
+            calls.append((nodes.tolist(), infeasible, sum(solved[before:])))
+
+    monkeypatch.setattr(segmentation, "_pruned_cost_table", recording)
+    return calls
+
+
+GRID_STEPS = (2, 3, 5, 10)
+
+
+@pytest.mark.parametrize("layout", [1, 2, 3])
+def test_pruned_grid_matches_dense_grid_on_presets(monkeypatch, layout):
+    spec, config = table_preset(layout)
+    ds = replication_dataset(spec, 0)
+    _assert_same_two_stage(monkeypatch, ds, (1, 2, 3), config, GRID_STEPS)
+
+
+# Replications whose dense grid search completes: under the plain lasso a
+# grid segment of layout 2 replication 1 and of layout 3 replication 0
+# exhausts the sweep budget.  The lasso stays off layout 3, where its
+# refinement windows make this comparison take about 25 s.
+@pytest.mark.parametrize(
+    "layout, config",
+    [(1, LASSO), (2, LASSO), (1, RIDGE), (2, RIDGE), (3, RIDGE),
+     (1, LEAST_SQUARES), (2, LEAST_SQUARES), (3, LEAST_SQUARES)],
+    ids=["lasso-1", "lasso-2", "ridge-1", "ridge-2", "ridge-3",
+         "least-squares-1", "least-squares-2", "least-squares-3"],
+)
+def test_pruned_grid_matches_dense_grid_across_families(monkeypatch, layout, config):
+    spec, _ = table_preset(layout)
+    ds = replication_dataset(spec, 0)
+    _assert_same_two_stage(monkeypatch, ds, (1, 2, 3), config, GRID_STEPS)
+
+
+def test_pruned_grid_matches_dense_grid_bridge(monkeypatch):
+    ds = _two_regimes(n=30, p=2, b=12, seed=3)
+    _assert_same_two_stage(monkeypatch, ds, (1, 2), BRIDGE, GRID_STEPS)
+
+
+@pytest.mark.parametrize("layout", [1, 2])
+def test_pruned_grid_selection_matches_dense_grid(monkeypatch, layout):
+    spec, config = table_preset(layout)
+    ds = replication_dataset(spec, 0)
+
+    def selection():
+        result = select_k(ds, config, CriterionConfig(k_max=3), grid_step=5)
+        return result.k_hat, [
+            (r.k, r.feasible, r.breakpoints, r.s_k, r.value) for r in result.rows
+        ]
+
+    dense = _with_dense_grid(monkeypatch, selection)
+    for size in _each_block_size(monkeypatch):
+        assert selection() == dense, size
+
+
+def test_grid_without_a_partition_halves_its_step(monkeypatch):
+    # n = (K+1) * min_len leaves one 2-break partition, (12, 24).  The grid
+    # of step 5 holds only 15 and 20 between the minimum lengths, so it has
+    # no 2-break partition and the search halves the step to 2.
+    ds = _two_regimes(n=36, p=2, b=12, seed=31)
+    _assert_same_two_stage(monkeypatch, ds, (2,), LASSO, (5,), min_len=12)
+    calls = _record_table_calls(monkeypatch)
+    fit = refit_breakpoints_two_stage(
+        ds, 2, LASSO, CriterionConfig(min_seg_len=12), grid_step=5
+    )
+    assert fit.breakpoints == (12, 24)
+    # the grid without a partition raises before it solves any segment
+    assert calls[0] == ([0, 15, 20, 36], True, 0)
+    assert [c[:2] for c in calls[1:]] == [([0, *range(12, 25, 2), 36], False)]
+
+
+def test_stalled_grid_segment_is_pruned():
+    # Under the plain lasso a segment of this step-2 grid exhausts the
+    # sweep budget: with every grid segment solved, the fit raises
+    # NoConvergenceError.  The segment lies on no partition that can win,
+    # so the pruned grid never solves it.
+    spec, _ = table_preset(2)
+    ds = replication_dataset(spec, 1)
+    fit = refit_breakpoints_two_stage(ds, 1, LASSO, grid_step=2)
+    assert fit.total_score >= optimal_breakpoints(ds, 1, LASSO).total_score
+
+
+def test_two_stage_fit_at_n1500_solves_few_grid_segments(monkeypatch):
+    # A deterministic proxy for the run time of the two-stage n = 1500 fit:
+    # solving all 2,850 admissible grid segments would be most of it.
+    spec, config = table_preset(5)
+    ds = replication_dataset(spec, 0)
+    calls = _record_table_calls(monkeypatch)
+    fit = refit_breakpoints_two_stage(ds, 2, config, grid_step=20)
+    assert fit.breakpoints == (200, 400)
+    [(nodes, infeasible, solved)] = calls
+    m = effective_min_seg_len(config, None, ds.p)
+    admissible = np.count_nonzero(segmentation._admissible(np.array(nodes), m))
+    assert (admissible, infeasible) == (2850, False)
+    assert solved <= 10, solved
 
 
 def _assert_bound_holds(ds, config, min_len, informative=True):
