@@ -199,11 +199,6 @@ class PenaltyConfig:
             return 0.0
         return 1e-10
 
-    @property
-    def exact_zero_solver(self) -> bool:
-        """True when the solver produces exact zeros without clamping."""
-        return self.family == FAMILY_ADAPTIVE or self.gamma == 1.0
-
 
 @dataclass(frozen=True)
 class CriterionConfig:

@@ -15,21 +15,16 @@ and for problems that use the whole sweep budget.  The scalar
 ``segment_cost`` is the public single-segment solver and the reference:
 it refits the segments of the chosen partition, whose total must agree
 with the search's, and the tests hold both paths to the same costs.
-``build_cost_table`` solves every admissible segment, which
-``select_k`` shares across K values.  A single K-break search instead
-solves only the segments that can lie on an optimal partition of its
-nodes: every sample position for ``optimal_breakpoints``, a coarse grid
-for the approximate ``refit_breakpoints_two_stage``, which then refines
-each breakpoint locally.  Every segment's cost is at least its
-unpenalized least-squares RSS, which only grows with the segment, so the
-RSS of the innermost segment of a block of (start, end) node pairs
-bounds the whole block.  Blocks, and then the segments of the surviving
-blocks, whose best bounded K-partition exceeds the attained score of an
-incumbent partition (plus a rounding slack of ``1e-9 * y'y``) are
-dropped, and only the survivors are solved, so a segment that exhausts
-the sweep budget fails a search only if it survives.  On the same nodes
-the pruned table gives the dense table's breakpoints and score
-(``optimal_breakpoints`` gives the argument).
+``build_cost_table`` solves every admissible segment into a dense table,
+which ``select_k`` shares across K values.  A single K-break search
+(``optimal_breakpoints`` over every sample position, the coarse grid of
+the approximate ``refit_breakpoints_two_stage``) instead keeps a list of
+segments: least-squares lower bounds, on blocks of segments and then on
+single segments, leave only those that can lie on an optimal partition,
+and only those are solved.  No (n+1) x (n+1) array is built, a segment
+that exhausts the sweep budget fails a search only if it survives, and
+the result equals the dense table's (``optimal_breakpoints`` gives the
+rules and the argument).
 """
 
 from __future__ import annotations
@@ -252,16 +247,6 @@ def _segment_stacks(stats, pairs):
         yield sl, cum_xx[j2] - cum_xx[j1], cum_xy[j2] - cum_xy[j1], cum_yy[j2] - cum_yy[j1]
 
 
-def _admissible(nodes, min_len: int, last=None) -> np.ndarray:
-    """Mask of the segments from node i to node j at least ``min_len`` long.
-
-    With ``last``, entry [i, j] instead says whether some segment from a
-    node in ``nodes[i] .. last[i]`` to one in ``nodes[j] .. last[j]`` is.
-    """
-    last = nodes if last is None else last
-    return last[None, :] - nodes[:, None] >= min_len
-
-
 def pair_costs(dataset: Dataset, pairs, config: PenaltyConfig) -> np.ndarray:
     """Penalized minimum cost for each half-open segment in ``pairs``.
 
@@ -353,7 +338,7 @@ def build_cost_table(
     if min_seg_len < 1:
         raise ValueError("min_seg_len must be >= 1")
     n = dataset.n
-    j1, j2 = np.nonzero(_admissible(np.arange(n + 1), min_seg_len))
+    j1, j2 = np.triu_indices(n + 1, min_seg_len)
     table = np.full((n + 1, n + 1), np.inf)
     table[j1, j2] = pair_costs(dataset, np.column_stack([j1, j2]), config)
     return table
@@ -362,32 +347,30 @@ def build_cost_table(
 # ---------------------------------------------------------------------------
 # dynamic programming
 
-def _dp_minimize(cost: np.ndarray, k: int):
-    """Minimize the K-break score over a node-indexed cost matrix.
+def _dp_minimize(i, j, cost, n_nodes: int, k: int):
+    """Minimize the K-break score over a list of segments.
 
-    ``cost[i, j]`` is the cost of a segment from node i to node j (+inf if
-    inadmissible); the partition runs from node 0 to the last node in
-    ``k + 1`` segments.  Returns (total, interior node indices).  Ties
-    resolve to the lexicographically smallest vector: the reconstruction
-    scans candidates in increasing order and the minima compared are the
-    exact floats produced by the backward pass.
+    Segment m runs from node ``i[m]`` to node ``j[m]`` and costs
+    ``cost[m]``; segments not listed are inadmissible.  The partition runs
+    from node 0 to node ``n_nodes - 1`` in ``k + 1`` segments.  Returns
+    (total, interior node indices).  Ties resolve to the lexicographically
+    smallest vector: the reconstruction takes the smallest end node whose
+    candidate equals the exact float minimum of the backward pass.
     """
-    n_nodes = cost.shape[0]
-    last = n_nodes - 1
-    best = np.empty((k + 2, n_nodes))
-    best[1] = cost[:, last]
-    for stage in range(2, k + 2):
-        best[stage] = np.min(cost + best[stage - 1][None, :], axis=1)
+    # best[s, x]: least cost of s segments from node x to the last node
+    best = np.full((k + 2, n_nodes), np.inf)
+    best[0, -1] = 0.0
+    for stage in range(1, k + 2):
+        np.minimum.at(best[stage], i, cost + best[stage - 1][j])
     total = best[k + 1][0]
     if not np.isfinite(total):
-        raise InfeasiblePartitionError(
-            f"no admissible placement of {k} breakpoints"
-        )
+        raise InfeasiblePartitionError(f"no admissible placement of {k} breakpoints")
     nodes = []
     at = 0
     for stage in range(k + 1, 1, -1):
-        vals = cost[at, :] + best[stage - 1]
-        at = int(np.flatnonzero(vals == best[stage][at])[0])
+        out = i == at
+        ties = cost[out] + best[stage - 1][j[out]] == best[stage][at]
+        at = int(j[out][ties].min())
         nodes.append(at)
     return float(total), nodes
 
@@ -441,26 +424,25 @@ def _rss_bounds(stats, pairs, slack: float) -> np.ndarray:
     return out
 
 
-def _least_through(table: np.ndarray, k: int) -> np.ndarray:
-    """Least ``table`` total of a (k+1)-segment partition through each segment.
+def _least_through(i, j, cost, n_nodes: int, k: int) -> np.ndarray:
+    """Least ``cost`` total of a (k+1)-segment partition through each segment.
 
-    Entry [i, j] is the minimum, over the partitions of node 0 .. last node
-    into k + 1 segments that use the segment from node i to node j, of the
-    summed entries; +inf where no such partition exists.
+    The segments are listed as in ``_dp_minimize``.  Entry m is the least
+    summed cost of a partition of node 0 .. last node into k + 1 listed
+    segments that uses segment m; +inf where no such partition exists.
     """
-    n_nodes = table.shape[0]
-    # fwd[s, j]: s segments from node 0 to j; bwd[s, j]: s segments from j to the end
+    # fwd[s, x]: s segments from node 0 to x; bwd[s, x]: s segments from x to the end
     fwd = np.full((k + 1, n_nodes), np.inf)
     bwd = np.full((k + 1, n_nodes), np.inf)
     fwd[0, 0] = 0.0
     bwd[0, -1] = 0.0
     for s in range(1, k + 1):
-        fwd[s] = np.min(fwd[s - 1][:, None] + table, axis=0)
-        bwd[s] = np.min(table + bwd[s - 1][None, :], axis=1)
-    through = np.full(table.shape, np.inf)
+        np.minimum.at(fwd[s], j, fwd[s - 1][i] + cost)
+        np.minimum.at(bwd[s], i, cost + bwd[s - 1][j])
+    through = np.full(len(cost), np.inf)
     for s in range(k + 1):
-        np.minimum(through, fwd[s][:, None] + bwd[k - s][None, :], out=through)
-    return through + table
+        np.minimum(through, fwd[s][i] + bwd[k - s][j], out=through)
+    return through + cost
 
 
 def _block_size(n: int) -> int:
@@ -479,6 +461,18 @@ def _blocks(n: int, size: int):
     """First and last of the nodes 0 .. n in each block of ``size``."""
     first = np.arange(0, n + 1, size)
     return first, np.minimum(first + size - 1, n)
+
+
+def _pairs_inside(i, j, per: int, n_blocks: int):
+    """Pairs (a, b) of blocks 0 .. n_blocks - 1 in row-major order, with a
+    among the ``per`` blocks inside block i[m] of the level before and b
+    among those inside block j[m], for some m."""
+    r, c = np.divmod(np.arange(per * per), per)
+    a, b = (i[:, None] * per + r).ravel(), (j[:, None] * per + c).ravel()
+    order = np.lexsort((b, a))
+    a, b = a[order], b[order]
+    real = (a < n_blocks) & (b < n_blocks)
+    return a[real], b[real]
 
 
 def _block_bounds(stats, first, last, i, j, slack: float) -> np.ndarray:
@@ -500,53 +494,59 @@ def _block_bounds(stats, first, last, i, j, slack: float) -> np.ndarray:
 
 def _pruned_cost_table(
     dataset: Dataset, stats, k: int, config: PenaltyConfig, min_seg_len: int, nodes=None
-) -> np.ndarray:
-    """Cost table of the exact K-break search over ``nodes`` (increasing
-    sample positions from 0 to n, all by default), filled only where needed.
+):
+    """Segments of the exact K-break search over ``nodes`` (increasing
+    sample positions from 0 to n, all by default), solved only where needed.
 
-    Entry [a, b] is the cost from node a to node b, or +inf for a pruned
-    segment, which is never solved; ``optimal_breakpoints`` gives the
-    rules.  Nodes with no K-partition raise InfeasiblePartitionError.
+    Returns ``(i, j, cost, n_nodes)`` as ``_dp_minimize`` takes them: the
+    survivors of pruning and the incumbents' segments, the only ones solved;
+    ``optimal_breakpoints`` gives the rules.  Nodes with no K-partition
+    raise InfeasiblePartitionError.
     """
     if nodes is None:
         nodes = np.arange(dataset.n + 1)
     end = len(nodes) - 1  # index of the last node
     slack = _BOUND_SLACK * float(stats[2][-1])
-    table = np.full((end + 1, end + 1), np.inf)
+    scored = {}  # cost of each solved segment, by (start node, end node)
+
+    def score(segments):
+        """Costs of the listed (start node, end node) pairs, each solved once."""
+        new = [seg for seg in segments if seg not in scored]
+        pairs = nodes[np.array(new, dtype=np.int64).reshape(-1, 2)]
+        scored.update(zip(new, _pair_costs(dataset, stats, pairs, config)))
+        return np.array([scored[seg] for seg in segments])
+
     upper = np.inf
-    keep, outer = np.ones((1, 1), dtype=bool), end + 1  # one block of everything
+    i, j, outer = np.array([0]), np.array([0]), end + 1  # one block of everything
     coarse = _block_size(end)
     for size in (coarse, 1) if coarse > 1 else (1,):
+        # the admissible block pairs inside the last level's survivors on a K-partition
         first, last = _blocks(end, size)
-        inside = first // outer  # the previous level's block of each block
         first_at, last_at = nodes[first], nodes[last]
-        blocks = _admissible(first_at, min_seg_len, last_at) & keep[np.ix_(inside, inside)]
-        i, j = np.nonzero(np.isfinite(_least_through(np.where(blocks, 0.0, np.inf), k)))
+        i, j = _pairs_inside(i, j, -(-outer // size), len(first))
+        fits = last_at[j] - first_at[i] >= min_seg_len
+        on_path = np.isfinite(_least_through(i, j, np.where(fits, 0.0, np.inf), len(first), k))
+        i, j = i[on_path], j[on_path]
         if not len(i):
             raise InfeasiblePartitionError(f"no admissible placement of {k} breakpoints")
-        lower = np.full(blocks.shape, np.inf)
-        lower[i, j] = _block_bounds(stats, first_at, last_at, i, j, slack)
+        lower = _block_bounds(stats, first_at, last_at, i, j, slack)
 
         # incumbent: the bound-optimal partition on the block starts
-        grid = first.copy()
-        grid[-1] = end
+        grid = np.append(first[:-1], end)
+        fits = nodes[grid[j]] - nodes[grid[i]] >= min_seg_len
         try:
-            _, picked = _dp_minimize(
-                np.where(_admissible(nodes[grid], min_seg_len), lower, np.inf), k
-            )
+            _, picked = _dp_minimize(i[fits], j[fits], lower[fits], len(first), k)
         except InfeasiblePartitionError:
             pass  # no partition on this grid, so no pruning at this level
         else:
-            ends = grid[[0, *picked, -1]]
-            at = nodes[ends]
-            costs = _pair_costs(dataset, stats, np.column_stack([at[:-1], at[1:]]), config)
-            table[ends[:-1], ends[1:]] = costs
-            upper = min(upper, costs.sum())
-        keep, outer = _least_through(lower, k) <= upper + slack, size
+            ends = grid[[0, *picked, -1]].tolist()
+            upper = min(upper, score(list(zip(ends[:-1], ends[1:]))).sum())
+        keep = _least_through(i, j, lower, len(first), k) <= upper + slack
+        i, j, outer = i[keep], j[keep], size
 
-    a, b = np.nonzero(keep & np.isinf(table))
-    table[a, b] = _pair_costs(dataset, stats, np.column_stack([nodes[a], nodes[b]]), config)
-    return table
+    score(list(zip(i.tolist(), j.tolist())))
+    i, j = np.array(list(scored), dtype=np.int64).T
+    return i, j, np.array(list(scored.values())), end + 1
 
 
 def _assemble_fit(
@@ -603,18 +603,18 @@ def optimal_breakpoints(
 ) -> ChangePointFit:
     """Exact K-break minimizer of the segment-cost sum.
 
-    Dynamic programming over the admissible segments; ties between score-
-    equal breakpoint vectors resolve to the lexicographically smallest one.
-    A precomputed ``cost_table`` (from ``build_cost_table`` with the same
-    config and minimum segment length) can be supplied to amortize the
-    table across several K values; the program then runs over it as given.
+    Dynamic programming over a list of admissible segments; ties between
+    score-equal breakpoint vectors resolve to the lexicographically
+    smallest one.  A precomputed ``cost_table`` (from ``build_cost_table``
+    with the same config and minimum segment length) can be supplied to
+    amortize the table across several K values; its finite entries are the list.
 
     Without one, only the segments that can lie on an optimal partition
-    are solved.  The work runs coarse to fine: first on s x s blocks of
-    (start, end) pairs, block i holding the nodes ``i*s .. i*s + s - 1``,
-    with s about sqrt(n) / 2 (s = 1, the per-segment pass alone, up to
-    n = 100); then, with s = 1, on the segments of the blocks that survive.
-    Each pass takes these steps:
+    are listed and solved.  The work runs coarse to fine: first on s x s
+    blocks of (start, end) pairs, block i holding the nodes
+    ``i*s .. i*s + s - 1``, with s about sqrt(n) / 2 (s = 1, the
+    per-segment pass alone, up to n = 100); then, with s = 1, on the
+    segments of the blocks that survive.  Each pass takes these steps:
 
     1. *Bound.*  Each segment's cost is at least its unpenalized
        least-squares RSS, which only grows with the segment.  The bound of
@@ -626,8 +626,8 @@ def optimal_breakpoints(
        Only blocks on some admissible K-partition are bounded; without
        one, the search raises InfeasiblePartitionError.
     2. *Best bound through each block.*  A forward and a backward pass
-       over the bound table give, for every block, the least bound total
-       of a K-break partition through it.
+       over the bounded blocks give, for every block, the least bound
+       total of a K-break partition through it.
     3. *Incumbent.*  The K-break partition on the block starts (and the
        last node) that minimizes the bound total is scored with
        ``pair_costs``; its score is attained, and U is the least such
@@ -635,24 +635,29 @@ def optimal_breakpoints(
     4. *Prune.*  Blocks whose best bound exceeds U plus the slack are
        dropped, with every segment in them.
 
-    Then ``pair_costs`` solves the surviving segments not yet scored; all
-    others stay +inf.  ``refit_breakpoints_two_stage`` runs the same passes
-    over the nodes of its grid, which the argument below does not depend on.
+    Then ``pair_costs`` solves the surviving segments not yet scored, and the
+    program runs over them and the incumbents.  ``refit_breakpoints_two_stage``
+    runs the same passes over its grid's nodes, on which nothing below depends.
 
-    The search over this table is exact.  A dropped block holds only
+    The search over this list is exact.  A dropped block holds only
     segments on partitions whose bound total, and hence cost, exceeds U,
-    an attained score, so none of them is on an optimal partition, and
-    pruning only raises entries.  The segments of the partition the dense
-    table would return all survive, with the same costs, so the dynamic
-    program finds the same minimum at every node it reconstructs from and
-    makes the same lexicographic choices: breakpoints, tie-breaks and
-    ``total_score`` equal those of the dense search.  Solver failures
-    surface only from the segments actually solved.
+    an attained score, so none of them is on an optimal partition.  The
+    segments of the partition the dense table would return all survive,
+    with the same costs, so the dynamic program finds the same minimum at
+    every node it reconstructs from and makes the same lexicographic
+    choices: breakpoints, tie-breaks and ``total_score`` equal those of
+    the dense search.  Solver failures surface only from the segments
+    actually solved.
     """
     min_len = _search_min_len(dataset, k, config, criterion)
     if cost_table is None:
-        cost_table = _pruned_cost_table(dataset, _cumulative_stats(dataset), k, config, min_len)
-    total, nodes = _dp_minimize(cost_table, k)
+        segments = _pruned_cost_table(dataset, _cumulative_stats(dataset), k, config, min_len)
+    elif cost_table.shape != (dataset.n + 1,) * 2 or not (cost_table > -np.inf).all():
+        raise ValueError("cost_table must be (n+1) x (n+1) and hold no NaN or -inf")
+    else:
+        i, j = np.nonzero(np.isfinite(cost_table))
+        segments = i, j, cost_table[i, j], dataset.n + 1
+    total, nodes = _dp_minimize(*segments, k)
     return _assemble_fit(dataset, nodes, config, expected_total=total)
 
 
@@ -695,7 +700,7 @@ def refit_breakpoints_two_stage(
         nodes = np.array([0, *interior, n], dtype=np.int64)
         try:
             _, picked = _dp_minimize(
-                _pruned_cost_table(dataset, stats, k, config, min_len, nodes), k
+                *_pruned_cost_table(dataset, stats, k, config, min_len, nodes), k
             )
             break
         except InfeasiblePartitionError:

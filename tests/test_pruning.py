@@ -7,13 +7,15 @@ search bounds blocks of segments first and refines the blocks that survive.
 These tests hold both searches to their dense counterparts bit for bit
 (the full table, and the grid with every admissible segment solved), also
 at forced small block sizes, check the segment and block bounds on awkward
-designs, count the bounds and solves an n = 1500 fit needs, and pin the
-typed consistency error that replaced the runtime asserts (it must fire
-under ``python -O`` too).
+designs, count the bounds and solves an n = 1500 fit needs, bound the
+memory of an exact n = 5000 fit, hold the dynamic programs over segment
+lists to their dense originals, and pin the typed consistency error that
+replaced the runtime asserts (it must fire under ``python -O`` too).
 """
 
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,8 +27,11 @@ from segbreak import (
     Dataset,
     InfeasiblePartitionError,
     PenaltyConfig,
+    REGIME_COEFFICIENTS,
+    ScenarioSpec,
     build_cost_table,
     effective_min_seg_len,
+    generate_scenario,
     optimal_breakpoints,
     pair_costs,
     refit_breakpoints_two_stage,
@@ -40,6 +45,8 @@ from segbreak.segmentation import (
     _block_bounds,
     _blocks,
     _cumulative_stats,
+    _dp_minimize,
+    _least_through,
     _rss_bounds,
 )
 
@@ -86,22 +93,27 @@ def _assert_same_search(monkeypatch, ds, ks, config, min_len=None):
             assert pruned.total_score == dense[k].total_score, (size, k)
 
 
+def _admissible_pairs(nodes, min_len):
+    """Node indices (a, b) of the segments at least ``min_len`` long."""
+    return np.nonzero(nodes[None, :] - nodes[:, None] >= min_len)
+
+
 def _dense_grid_table(dataset, config, min_seg_len, nodes):
     """Reference for ``segmentation._pruned_cost_table`` on a grid: every
     admissible segment between the nodes solved, as the two-stage coarse
-    stage did before it was pruned.  A node set with no K-partition yields
-    a table on which the dynamic program raises InfeasiblePartitionError."""
-    i1, i2 = np.nonzero(segmentation._admissible(nodes, min_seg_len))
-    matrix = np.full((len(nodes), len(nodes)), np.inf)
-    matrix[i1, i2] = pair_costs(dataset, np.column_stack([nodes[i1], nodes[i2]]), config)
-    return matrix
+    stage did before it was pruned, in the same ``(i, j, cost, n_nodes)``
+    form.  A node set with no K-partition yields segments on which the
+    dynamic program raises InfeasiblePartitionError."""
+    i1, i2 = _admissible_pairs(nodes, min_seg_len)
+    costs = pair_costs(dataset, np.column_stack([nodes[i1], nodes[i2]]), config)
+    return i1, i2, costs, len(nodes)
 
 
 def _with_dense_grid(monkeypatch, run):
-    """``run()`` with every grid table built densely by the reference.
+    """``run()`` with every grid's segments solved densely by the reference.
 
-    ``run`` searches one dataset under one config, so a table depends only
-    on its nodes and minimum length, and is built once for all K."""
+    ``run`` searches one dataset under one config, so the segments depend
+    only on the nodes and minimum length, and are solved once for all K."""
     pruned = segmentation._pruned_cost_table
     tables = {}
 
@@ -144,9 +156,7 @@ def _two_regimes(n, p, b, seed, scale=1.0):
 
 
 def _all_pairs(n, min_len):
-    idx = np.arange(n + 1)
-    j1, j2 = np.nonzero(idx[None, :] - idx[:, None] >= min_len)
-    return np.column_stack([j1, j2])
+    return np.column_stack(_admissible_pairs(np.arange(n + 1), min_len))
 
 
 # Replications whose dense table builds: on layout 3 replication 1, and on
@@ -225,6 +235,72 @@ def test_tie_keeps_lexicographically_smallest(monkeypatch):
         dense = optimal_breakpoints(ds, 1, config, cost_table=table)
         assert dense.breakpoints == (m,)
         _assert_same_search(monkeypatch, ds, (1,), config)
+
+
+def _dense_dp_minimize(cost, k):
+    """``_dp_minimize`` as it ran over a node-indexed cost matrix (+inf
+    where inadmissible), kept as the reference for the list form."""
+    n_nodes = cost.shape[0]
+    last = n_nodes - 1
+    best = np.empty((k + 2, n_nodes))
+    best[1] = cost[:, last]
+    for stage in range(2, k + 2):
+        best[stage] = np.min(cost + best[stage - 1][None, :], axis=1)
+    total = best[k + 1][0]
+    if not np.isfinite(total):
+        raise InfeasiblePartitionError(f"no admissible placement of {k} breakpoints")
+    nodes = []
+    at = 0
+    for stage in range(k + 1, 1, -1):
+        vals = cost[at, :] + best[stage - 1]
+        at = int(np.flatnonzero(vals == best[stage][at])[0])
+        nodes.append(at)
+    return float(total), nodes
+
+
+def _dense_least_through(table, k):
+    """``_least_through`` as it ran over a node-indexed matrix, kept as the
+    reference for the list form."""
+    n_nodes = table.shape[0]
+    fwd = np.full((k + 1, n_nodes), np.inf)
+    bwd = np.full((k + 1, n_nodes), np.inf)
+    fwd[0, 0] = 0.0
+    bwd[0, -1] = 0.0
+    for s in range(1, k + 1):
+        fwd[s] = np.min(fwd[s - 1][:, None] + table, axis=0)
+        bwd[s] = np.min(table + bwd[s - 1][None, :], axis=1)
+    through = np.full(table.shape, np.inf)
+    for s in range(k + 1):
+        np.minimum(through, fwd[s][:, None] + bwd[k - s][None, :], out=through)
+    return through + table
+
+
+def test_segment_list_programs_match_dense_matrices():
+    # Integer costs in 0..3 make exact ties common, so the tie-breaking of
+    # the reconstruction is exercised; about 30% of the entries are +inf,
+    # and the list holds the finite ones in shuffled order.
+    rng = np.random.default_rng(37)
+    infeasible = 0
+    for _ in range(400):
+        n_nodes = int(rng.integers(2, 13))
+        table = rng.integers(0, 4, size=(n_nodes, n_nodes)).astype(float)
+        table[rng.random((n_nodes, n_nodes)) < 0.3] = np.inf
+        i, j = np.nonzero(np.isfinite(table))
+        order = rng.permutation(len(i))
+        i, j = i[order], j[order]
+        for k in range(4):
+            through = _least_through(i, j, table[i, j], n_nodes, k)
+            assert (through == _dense_least_through(table, k)[i, j]).all(), (table, k)
+            try:
+                want = _dense_dp_minimize(table, k)
+            except InfeasiblePartitionError:
+                infeasible += 1
+                with pytest.raises(InfeasiblePartitionError):
+                    _dp_minimize(i, j, table[i, j], n_nodes, k)
+            else:
+                assert _dp_minimize(i, j, table[i, j], n_nodes, k) == want, (table, k)
+    # both outcomes occur often
+    assert 100 < infeasible < 1500, infeasible
 
 
 def _count_solved(monkeypatch):
@@ -358,7 +434,7 @@ def test_two_stage_fit_at_n1500_solves_few_grid_segments(monkeypatch):
     assert fit.breakpoints == (200, 400)
     [(nodes, infeasible, solved)] = calls
     m = effective_min_seg_len(config, None, ds.p)
-    admissible = np.count_nonzero(segmentation._admissible(np.array(nodes), m))
+    admissible = len(_admissible_pairs(np.array(nodes), m)[0])
     assert (admissible, infeasible) == (2850, False)
     assert solved <= 10, solved
 
@@ -514,6 +590,50 @@ def test_exact_fit_at_n1500_bounds_few_segments(monkeypatch):
     two_stage = refit_breakpoints_two_stage(ds, 2, config, grid_step=20).total_score
     for other in (true_score, two_stage):
         assert fit.total_score <= other * (1.0 + 1e-9), (fit.total_score, other)
+
+
+def test_exact_fit_at_n5000_holds_no_dense_table():
+    # One (n+1) x (n+1) table of floats would take 200 MB at n = 5000; the
+    # search keeps only lists of segments, so the fit peaks far below that.
+    _, config = table_preset(1)
+    spec = ScenarioSpec(
+        n=5000, breakpoints=(1500, 3200), coefficient_vectors=REGIME_COEFFICIENTS, seed=0
+    )
+    ds = generate_scenario(spec)
+    tracemalloc.start()
+    try:
+        fit = optimal_breakpoints(ds, 2, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fit.breakpoints == (1500, 3200)
+    assert peak < 64 * 2**20, peak
+
+    truth = np.array([0, *spec.breakpoints, ds.n])
+    true_score = pair_costs(ds, np.column_stack([truth[:-1], truth[1:]]), config).sum()
+    two_stage = refit_breakpoints_two_stage(ds, 2, config, grid_step=20).total_score
+    for other in (true_score, two_stage):
+        assert fit.total_score <= other * (1.0 + 1e-9), (fit.total_score, other)
+
+
+@pytest.mark.parametrize(
+    "bad_table",
+    [
+        lambda table: table[:41, :41],
+        lambda table: table[:, :40],
+        lambda table: np.full_like(table, np.nan),
+        lambda table: np.where(np.isfinite(table), table, -np.inf),
+    ],
+    ids=["41x41", "51x40", "all-nan", "minus-inf"],
+)
+def test_cost_table_of_wrong_shape_or_with_nan_raises(bad_table):
+    # Before the check, the first three raised ConsistencyError ("drifted"),
+    # a bare IndexError and InfeasiblePartitionError.
+    spec, config = table_preset(1)
+    ds = replication_dataset(spec, 0)
+    table = _dense_table(ds, config)
+    with pytest.raises(ValueError, match="cost_table"):
+        optimal_breakpoints(ds, 2, config, cost_table=bad_table(table))
 
 
 def test_refit_drift_raises_typed_error():
