@@ -15,6 +15,11 @@ and for problems that use the whole sweep budget.  The scalar
 ``segment_cost`` is the public single-segment solver and the reference:
 it refits the segments of the chosen partition, whose total must agree
 with the search's, and the tests hold both paths to the same costs.
+The engine runs coordinate descent on a whole stack of segment problems
+at once (``_batch_cd``): each coordinate update is a few numpy calls
+over the stack, and every tenth sweep one batched ``solvers.face_steps``
+call proposes the face minimizer of every unconverged problem, under the
+acceptance rule of the scalar solver's ``face_step``.
 ``build_cost_table`` solves every admissible segment into a dense table,
 which ``select_k`` shares across K values.  A single K-break search
 (``optimal_breakpoints`` over every sample position, the coarse grid of
@@ -176,28 +181,40 @@ def _batch_cd(G, b, thr, tol, max_iter):
     """Coordinate descent over a stack of Gram-form problems.
 
     Same update and stopping rule as the scalar solver, including the
-    periodic face_step proposal.  Converged problems drop out of the
-    working set between sweeps.  Returns the coefficient stack and the
-    indices of problems that used up the sweep budget.
+    periodic face step, here ``solvers.face_steps`` over the whole working
+    set at once.  Converged problems drop out of the working set between
+    sweeps.  Returns the coefficient stack and the indices of problems
+    that used up the sweep budget.
+
+    Each coordinate update is a handful of whole-stack numpy calls.  The
+    divisor of each coordinate is its Gram diagonal, and its threshold is
+    ``thr``; a column that is zero inside its segment (zero diagonal) gets
+    divisor 1 and threshold +inf instead, so the soft-threshold keeps it
+    at 0 without a mask.  The stopping change of a sweep is the largest
+    move of any coordinate from its value at the start of the sweep.
     """
     m, p = b.shape
     out = np.zeros((m, p))
     idx = np.arange(m)
+    if not m:
+        return out, idx
     x = np.zeros((m, p))
-    diag = np.ascontiguousarray(G[:, np.arange(p), np.arange(p)])
-    Gc, bc, tc, dc = G, b, thr, diag
+    diag = G[:, np.arange(p), np.arange(p)]
+    live = diag > 0.0
+    Gc, bc = G, b
+    dc, tc = np.where(live, diag, 1.0), np.where(live, thr, np.inf)
+    cols = [(Gc[:, k, :], bc[:, k], dc[:, k], tc[:, k], x[:, k]) for k in range(p)]
     for sweep in range(1, max_iter + 1):
-        delta = np.zeros(len(idx))
-        for k in range(p):
-            c = bc[:, k] - np.einsum("ij,ij->i", Gc[:, k, :], x) + dc[:, k] * x[:, k]
-            mag = np.abs(c) - tc[:, k]
-            with np.errstate(invalid="ignore"):  # sign(0) * -inf under the mask
-                new = np.where(mag > 0.0, np.sign(c) * mag, 0.0)
-            safe = np.where(dc[:, k] > 0.0, dc[:, k], 1.0)
-            new = np.where(dc[:, k] > 0.0, new / safe, 0.0)
-            np.maximum(delta, np.abs(new - x[:, k]), out=delta)
-            x[:, k] = new
-        done = delta <= tol
+        start = x.copy()
+        for Gk, bk, dk, tk, xk in cols:
+            c = bk - np.einsum("ij,ij->i", Gk, x) + dk * xk
+            new = np.abs(c)
+            new -= tk
+            np.maximum(new, 0.0, out=new)
+            np.copysign(new, c, out=xk)
+            xk /= dk
+        start -= x
+        done = np.abs(start, out=start).max(axis=1) <= tol
         if done.any():
             out[idx[done]] = x[done]
             keep = ~done
@@ -205,11 +222,10 @@ def _batch_cd(G, b, thr, tol, max_iter):
                 return out, np.empty(0, dtype=int)
             idx = idx[keep]
             Gc, bc, tc, dc, x = Gc[keep], bc[keep], tc[keep], dc[keep], x[keep]
+            cols = [(Gc[:, k, :], bc[:, k], dc[:, k], tc[:, k], x[:, k]) for k in range(p)]
         if sweep % solvers._FACE_EVERY == 0:
-            for i in range(len(idx)):
-                jump = solvers.face_step(Gc[i], bc[i], tc[i], x[i])
-                if jump is not None:
-                    x[i] = jump
+            rows, jump = solvers.face_steps(Gc, bc, tc, x)
+            x[rows] = jump
     out[idx] = x
     return out, idx
 

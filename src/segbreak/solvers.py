@@ -57,9 +57,7 @@ def penalty_sum(phi: np.ndarray, gamma: float = 1.0, weights: np.ndarray | None 
 def _l1_terms(w, phi):
     """Terms ``w * |phi|``, elementwise, with 0 wherever ``phi`` is 0: an
     infinite weight on an exactly zero coefficient contributes nothing."""
-    with np.errstate(invalid="ignore"):  # inf * 0 under the mask
-        terms = w * np.abs(phi)
-    return np.where(phi == 0.0, 0.0, terms)
+    return np.where(phi == 0.0, 0.0, w) * np.abs(phi)
 
 
 def penalized_objective(
@@ -182,41 +180,70 @@ def kkt_check(
 _FACE_EVERY = 10
 
 
-def _gram_score(G, b, thr, phi):
-    """Weighted-lasso objective minus the constant y'y term.
+def _gram_scores(G, b, thr, phi):
+    """Weighted-lasso objective minus the constant y'y term, for each
+    problem of a stack; ``phi`` may carry leading axes of iterates.
 
     thr holds lam * w / 2, so the penalty contributes 2 sum thr |phi|.
     Coordinates pinned at zero by an infinite threshold contribute zero.
     """
-    pen = float(np.sum(_l1_terms(thr, phi)))
-    return float(phi @ G @ phi - 2.0 * (b @ phi)) + 2.0 * pen
+    quad = np.einsum("...ij,ijk,...ik->...i", phi, G, phi)
+    quad -= 2.0 * np.einsum("ij,...ij->...i", b, phi)
+    return quad + 2.0 * _l1_terms(thr, phi).sum(axis=-1)
 
 
-def face_step(G, b, thr, phi):
-    """Exact minimizer on the face fixed by the current support and signs.
+def _gram_score(G, b, thr, phi):
+    """``_gram_scores`` of one problem."""
+    return float(_gram_scores(G[None], b[None], thr[None], phi[None])[0])
+
+
+def face_steps(G, b, thr, phi):
+    """Exact minimizers on the faces fixed by the current supports and signs.
 
     Near-collinear columns make plain coordinate descent crawl, but once
     the support and signs have settled the minimizer solves a linear
-    system.  The proposal is accepted only if the solution keeps the same
-    signs and does not increase the objective, so taking it can never
-    break monotone descent.  Returns the candidate vector or None.
+    system.  Over a stack of problems (Gram matrices ``G``, right-hand
+    sides ``b``, thresholds ``thr`` = lam * w / 2, iterates ``phi``), each
+    problem's p x p system keeps the Gram entries of its active (nonzero)
+    coordinates and has the identity on the others, so one batched solve
+    gives every proposal, with zeros off the support.  Only when that
+    solve meets an exactly singular system is the stack solved row by row,
+    and a singular row gets no proposal.  A proposal is accepted only if
+    it is finite, keeps the signs of the support and does not increase
+    the objective, so taking it can never break monotone descent.  Rows
+    with an empty support get none.
+
+    Returns ``(rows, proposals)``: the indices of the accepted problems
+    and their candidate vectors, one per row.
     """
-    active = np.flatnonzero(phi)
-    if active.size == 0:
-        return None
-    s = np.sign(phi[active])
-    rhs = b[active] - thr[active] * s
+    active = phi != 0.0
+    s = np.sign(phi)
+    A = np.where(active[:, :, None] & active[:, None, :], G, np.eye(phi.shape[1]))
+    rhs = np.where(active, b - np.where(active, thr, 0.0) * s, 0.0)
     try:
-        x = np.linalg.solve(G[np.ix_(active, active)], rhs)
+        x = np.linalg.solve(A, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        return None
-    if not np.all(np.isfinite(x)) or np.any(np.sign(x) != s):
-        return None
-    cand = np.zeros_like(phi)
-    cand[active] = x
-    if _gram_score(G, b, thr, cand) > _gram_score(G, b, thr, phi):
-        return None
-    return cand
+        x = np.full_like(rhs, np.nan)  # a singular row stays NaN: no proposal
+        for i in range(len(x)):
+            try:
+                x[i] = np.linalg.solve(A[i], rhs[i])
+            except np.linalg.LinAlgError:
+                pass
+    ok = active.any(axis=1) & np.isfinite(x).all(axis=1)
+    ok &= ((np.sign(x) == s) | ~active).all(axis=1)
+    cand = np.where(ok[:, None] & active, x, 0.0)
+    after, before = _gram_scores(G, b, thr, np.stack([cand, phi]))
+    ok &= after <= before
+    rows = np.flatnonzero(ok)
+    return rows, cand[rows]
+
+
+def face_step(G, b, thr, phi):
+    """``face_steps`` of one problem, so that the scalar solver and the
+    batched engine share one acceptance rule: the accepted candidate
+    vector, or None."""
+    rows, cand = face_steps(G[None], b[None], thr[None], phi[None])
+    return cand[0] if rows.size else None
 
 
 def _cd_gram(G, b, lam, weights, tol, max_iter):
@@ -227,7 +254,7 @@ def _cd_gram(G, b, lam, weights, tol, max_iter):
     Tibshirani 2010); no objective is evaluated.  Each exact
     soft-threshold update minimizes the objective along its coordinate, so
     the objective never rises (the tests check this), and every few sweeps
-    a face_step proposal is tried; see its docstring.
+    a face_step proposal is tried under the rule of ``face_steps``.
     """
     p = b.shape[0]
     phi = np.zeros(p)

@@ -1,6 +1,7 @@
 """Segment costs, adaptive weights, dynamic programming, two-stage search."""
 
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from segbreak import (
     segment_cost,
     segment_ranges,
 )
+from segbreak.segmentation import _batch_cd
+from segbreak.solvers import _cd_gram
 
 
 def _one_break(n=60, p=3, b=30, seed=0, sigma=0.3):
@@ -250,6 +253,23 @@ class TestPairCosts:
         with pytest.raises(NoConvergenceError, match="all 1 sweeps"):
             pair_costs(ds, np.array([[0, 30]]), config)
 
+    def test_stalled_problem_in_a_mixed_stack_raises(self):
+        # rows 1-30 each load a single column, so every segment inside them
+        # has a diagonal Gram matrix and converges in two sweeps; segment
+        # (30, 60] is correlated and cannot settle in that budget
+        rng = np.random.default_rng(5)
+        X = np.zeros((60, 3))
+        X[np.arange(30), np.arange(30) % 3] = rng.standard_normal(30)
+        X[30:] = rng.standard_normal((30, 3))
+        X[30:, 2] = X[30:, 0] + 0.1 * rng.standard_normal(30)
+        ds = Dataset(y=X @ np.array([2.0, -1.0, 2.0]), X=X)
+        config = PenaltyConfig(family="lasso_type", gamma=1.0, cd_max_iterations=2)
+        settled = np.array([[0, 30], [0, 15], [3, 27], [12, 30]])
+        assert np.all(np.isfinite(pair_costs(ds, settled, config)))
+        mixed = np.insert(settled, 2, [30, 60], axis=0)
+        with pytest.raises(NoConvergenceError, match="all 2 sweeps"):
+            pair_costs(ds, mixed, config)
+
     @staticmethod
     def _zero_column_in_first_half():
         # column 3 is zero in rows 1-20, so segment (0, 20] has no
@@ -289,6 +309,63 @@ class TestPairCosts:
     def test_empty_input(self):
         ds = _one_break(n=20)
         assert pair_costs(ds, np.empty((0, 2), dtype=int), PenaltyConfig()).shape == (0,)
+
+
+def _mixed_gram_stack():
+    """Weighted-lasso problems (p = 5) of one stack: a plain design, a
+    near-collinear pair of columns, a column that is zero inside the
+    segment, and infinite adaptive weights on a correlated design."""
+    rng = np.random.default_rng(7)
+    problems = []
+    X = rng.standard_normal((40, 5))
+    y = X @ np.array([1.0, 2.0, 0.1, 0.0, -1.0]) + rng.standard_normal(40)
+    problems.append((X, y, np.array([1.0, 1.0, 3.0, np.inf, 0.2])))
+    X = rng.standard_normal((40, 5))
+    X[:, 2] = X[:, 0] + 1e-7 * rng.standard_normal(40)
+    y = X @ np.array([3.0, -3.0, 0.0, 1.0, 0.0]) + 0.3 * rng.standard_normal(40)
+    problems.append((X, y, np.ones(5)))
+    X = rng.standard_normal((40, 5))
+    X[:, 3] = 0.0
+    y = X @ np.array([1.0, 0.0, -2.0, 0.0, 0.5]) + 0.3 * rng.standard_normal(40)
+    problems.append((X, y, np.ones(5)))
+    corr = 0.99 * np.ones((5, 5)) + 0.01 * np.eye(5)
+    X = rng.standard_normal((40, 5)) @ np.linalg.cholesky(corr).T
+    y = X @ np.array([2.0, 0.0, -1.5, 0.0, 0.7]) + 0.5 * rng.standard_normal(40)
+    problems.append((X, y, np.array([1.0, np.inf, 0.5, 2.0, 1.0])))
+    return problems
+
+
+class TestBatchCoordinateDescent:
+    @pytest.mark.parametrize("max_iter", [10_000, 10, 8])
+    def test_matches_scalar_solver_per_problem(self, max_iter):
+        # the problems need 7 to 11 sweeps, so budgets 10 and 8 leave some
+        # stalled, and both solvers must leave the same ones
+        problems = _mixed_gram_stack()
+        lam = 40**0.45
+        G = np.stack([X.T @ X for X, _, _ in problems])
+        b = np.stack([X.T @ y for X, y, _ in problems])
+        thr = np.stack([lam * w / 2.0 for _, _, w in problems])
+        with np.errstate(all="raise"):
+            phi, stalled = _batch_cd(G, b, thr, 1e-8, max_iter)
+        converged = []
+        for i, (X, y, w) in enumerate(problems):
+            ref, ok = _cd_gram(X.T @ X, X.T @ y, lam, w, 1e-8, max_iter)
+            # relative to the problem's largest coefficient, as a coordinate
+            # near 0 carries the rounding of the large ones
+            np.testing.assert_allclose(phi[i], ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())
+            converged.append(ok)
+        assert stalled.tolist() == [i for i, ok in enumerate(converged) if not ok]
+        if max_iter < 10_000:
+            assert 0 < len(stalled) < len(problems)
+
+    def test_empty_stack_returns_at_once(self):
+        start = time.perf_counter()
+        phi, stalled = _batch_cd(
+            np.zeros((0, 10, 10)), np.zeros((0, 10)), np.zeros((0, 10)), 1e-8, 100_000
+        )
+        # without the early return, 100,000 sweeps over empty arrays take tens of seconds
+        assert time.perf_counter() - start < 1.0
+        assert phi.shape == (0, 10) and stalled.shape == (0,)
 
 
 class TestCostTable:

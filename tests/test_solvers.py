@@ -19,7 +19,7 @@ from segbreak import (
     soft_threshold,
     wrap_coefficients,
 )
-from segbreak.solvers import _cd_gram, _gram_score, face_step
+from segbreak.solvers import _cd_gram, _gram_score, face_step, face_steps
 
 
 def _problem(m=50, p=5, seed=1, sigma=0.5):
@@ -322,6 +322,91 @@ class TestFaceStep:
         cand = face_step(G, b, thr, fit.coefficients)
         assert cand is not None
         np.testing.assert_allclose(cand, fit.coefficients, atol=1e-10)
+
+
+def _face_step_oracle(G, b, thr, phi):
+    """One problem's face step on the active submatrix, the per-row rule
+    that ``face_steps`` batches: candidate vector or None."""
+    active = np.flatnonzero(phi)
+    if active.size == 0:
+        return None
+    s = np.sign(phi[active])
+    try:
+        x = np.linalg.solve(G[np.ix_(active, active)], b[active] - thr[active] * s)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(x)) or np.any(np.sign(x) != s):
+        return None
+    cand = np.zeros_like(phi)
+    cand[active] = x
+
+    def score(v):
+        penalty = sum(t * abs(c) for t, c in zip(thr, v) if c != 0.0)
+        return float(v @ G @ v - 2.0 * (b @ v)) + 2.0 * float(penalty)
+
+    return None if score(cand) > score(phi) else cand
+
+
+def _face_stack():
+    """Rows of one face-step stack (p = 4), each named for its case."""
+    rng = np.random.default_rng(11)
+    rows = {}
+
+    def gram_row(X, y, thr, phi):
+        return X.T @ X, X.T @ y, np.asarray(thr, dtype=float), np.asarray(phi, dtype=float)
+
+    X = rng.standard_normal((30, 4))
+    y = X @ np.array([2.0, 0.0, -1.0, 0.5]) + 0.3 * rng.standard_normal(30)
+    rows["accepted"] = gram_row(X, y, np.full(4, 1.5), [1.9, 0.0, -0.9, 0.4])
+    rows["empty_support"] = gram_row(X, y, np.full(4, 1.5), np.zeros(4))
+    Xd = X.copy()
+    Xd[:, 1] = Xd[:, 0]  # duplicate columns: the active Gram is exactly singular
+    rows["singular"] = gram_row(Xd, y, np.full(4, 1.5), [1.0, 1.0, -0.9, 0.0])
+    rows["infinite_threshold"] = gram_row(
+        X, y, [1.5, np.inf, 1.5, 1.5], [1.9, 0.0, -0.9, 0.4]
+    )
+    # the face minimizer of coordinate 3 is about +0.5, so a negative start flips
+    rows["sign_flip"] = gram_row(X, y, np.full(4, 1.5), [1.9, 0.0, -0.9, -0.4])
+    # a negative definite active block: the face's stationary point is its
+    # maximum, so the signs hold but the objective rises
+    G = -np.eye(4) - 0.1
+    rows["objective_rise"] = (G, np.array([2.0, -1.0, -0.5, 0.0]), np.full(4, 0.1),
+                              np.array([-1.0, 1.5, 1.0, 0.0]))
+    X2 = rng.standard_normal((25, 4))
+    y2 = X2 @ np.array([-1.0, 1.0, 0.0, 3.0]) + rng.standard_normal(25)
+    rows["accepted_2"] = gram_row(X2, y2, np.full(4, 0.5), [-0.8, 0.9, 0.0, 2.9])
+    return list(rows), [np.stack(parts) for parts in zip(*rows.values())]
+
+
+class TestFaceSteps:
+    def test_matches_per_row_oracle(self):
+        names, (G, b, thr, phi) = _face_stack()
+        with np.errstate(all="raise"):
+            rows, cands = face_steps(G, b, thr, phi)
+        oracle = {i: _face_step_oracle(G[i], b[i], thr[i], phi[i]) for i in range(len(names))}
+        expected = [i for i, cand in oracle.items() if cand is not None]
+        assert rows.tolist() == expected
+        for i, cand in zip(rows, cands):
+            np.testing.assert_allclose(cand, oracle[i], rtol=1e-12, atol=1e-12)
+        assert {names[i] for i in rows} == {"accepted", "infinite_threshold", "accepted_2"}
+
+    def test_each_rejected_row_takes_its_branch(self):
+        names, (G, b, thr, phi) = _face_stack()
+
+        def face_solution(name):
+            i = names.index(name)
+            a = np.flatnonzero(phi[i])
+            rhs = b[i][a] - thr[i][a] * np.sign(phi[i][a])
+            return np.linalg.solve(G[i][np.ix_(a, a)], rhs), np.sign(phi[i][a])
+
+        # the singular block makes the stacked solve raise, so the
+        # row-by-row retry runs while the other rows still get proposals
+        with pytest.raises(np.linalg.LinAlgError):
+            face_solution("singular")
+        x, s = face_solution("sign_flip")
+        assert np.any(np.sign(x) != s)
+        x, s = face_solution("objective_rise")
+        assert np.all(np.sign(x) == s)
 
 
 class TestBridge:
