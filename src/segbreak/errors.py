@@ -60,8 +60,9 @@ class TooManyFailuresError(SegbreakError):
 
 
 class ConsistencyError(SegbreakError):
-    """An internal consistency check failed: a refit drifted from the score
-    the search found, or an exact search scored worse than the true
+    """An internal consistency check failed: a chosen segment's fit is not
+    stationary or its total, recomputed from the rows, drifted from the
+    score the search found, or an exact search scored worse than the true
     breakpoints.  Raised in place of an ``assert`` so that the check also
     runs under ``python -O``."""
 

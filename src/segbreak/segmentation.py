@@ -7,29 +7,24 @@ the attained per-segment penalized minimum, with the tuning constant
 over a table of segment costs; ties resolve to the lexicographically
 smallest breakpoint vector.
 
-Every segment cost the search compares comes from one vectorized engine,
+Every segment cost a search compares comes from one vectorized engine,
 ``pair_costs``, that works on cumulative sufficient statistics (running
 X'X, X'y, y'y), so each candidate segment costs O(p^2) regardless of its
-length.  It applies the scalar solver's rules for adaptive-weight fallback
-and for problems that use the whole sweep budget.  The scalar
-``segment_cost`` is the public single-segment solver and the reference:
-it refits the segments of the chosen partition, whose total must agree
-with the search's, and the tests hold both paths to the same costs.
-The engine runs coordinate descent on a whole stack of segment problems
-at once (``_batch_cd``): each coordinate update is a few numpy calls
-over the stack, and every tenth sweep one batched ``solvers.face_steps``
-call proposes the face minimizer of every unconverged problem, under the
-acceptance rule of the scalar solver's ``face_step``.
-``build_cost_table`` solves every admissible segment into a dense table,
-which ``select_k`` shares across K values.  A single K-break search
-(``optimal_breakpoints`` over every sample position, the coarse grid of
-the approximate ``refit_breakpoints_two_stage``) instead keeps a list of
-segments: least-squares lower bounds, on blocks of segments and then on
-single segments, leave only those that can lie on an optimal partition,
-and only those are solved.  No (n+1) x (n+1) array is built, a segment
-that exhausts the sweep budget fails a search only if it survives, and
-the result equals the dense table's (``optimal_breakpoints`` gives the
-rules and the argument).
+length.  It runs ``solvers._batch_cd`` on a whole stack of segment
+problems at once, under the rules of the single-segment solver
+``segment_cost`` (the tests' reference) for adaptive-weight fallback and
+for problems that use the whole sweep budget.  The reported fits of the
+chosen segments come from the same engine, checked against the rows
+(``_assemble_fits``).  ``select_k`` solves every admissible segment once
+for all K.  A single K-break search (``optimal_breakpoints`` over every
+sample position, the coarse grid of the approximate
+``refit_breakpoints_two_stage``) instead keeps a list of segments:
+least-squares lower bounds, on blocks of segments and then on single
+segments, leave only those that can lie on an optimal partition, and
+only those are solved.  No (n+1) x (n+1) array is built, a segment that
+exhausts the sweep budget fails a search only if it survives, and the
+result equals the dense table's (``optimal_breakpoints`` gives the rules
+and the argument).
 """
 
 from __future__ import annotations
@@ -177,59 +172,6 @@ def _cumulative_stats(dataset: Dataset):
     return cum_xx, cum_xy, cum_yy
 
 
-def _batch_cd(G, b, thr, tol, max_iter):
-    """Coordinate descent over a stack of Gram-form problems.
-
-    Same update and stopping rule as the scalar solver, including the
-    periodic face step, here ``solvers.face_steps`` over the whole working
-    set at once.  Converged problems drop out of the working set between
-    sweeps.  Returns the coefficient stack and the indices of problems
-    that used up the sweep budget.
-
-    Each coordinate update is a handful of whole-stack numpy calls.  The
-    divisor of each coordinate is its Gram diagonal, and its threshold is
-    ``thr``; a column that is zero inside its segment (zero diagonal) gets
-    divisor 1 and threshold +inf instead, so the soft-threshold keeps it
-    at 0 without a mask.  The stopping change of a sweep is the largest
-    move of any coordinate from its value at the start of the sweep.
-    """
-    m, p = b.shape
-    out = np.zeros((m, p))
-    idx = np.arange(m)
-    if not m:
-        return out, idx
-    x = np.zeros((m, p))
-    diag = G[:, np.arange(p), np.arange(p)]
-    live = diag > 0.0
-    Gc, bc = G, b
-    dc, tc = np.where(live, diag, 1.0), np.where(live, thr, np.inf)
-    cols = [(Gc[:, k, :], bc[:, k], dc[:, k], tc[:, k], x[:, k]) for k in range(p)]
-    for sweep in range(1, max_iter + 1):
-        start = x.copy()
-        for Gk, bk, dk, tk, xk in cols:
-            c = bk - np.einsum("ij,ij->i", Gk, x) + dk * xk
-            new = np.abs(c)
-            new -= tk
-            np.maximum(new, 0.0, out=new)
-            np.copysign(new, c, out=xk)
-            xk /= dk
-        start -= x
-        done = np.abs(start, out=start).max(axis=1) <= tol
-        if done.any():
-            out[idx[done]] = x[done]
-            keep = ~done
-            if not keep.any():
-                return out, np.empty(0, dtype=int)
-            idx = idx[keep]
-            Gc, bc, tc, dc, x = Gc[keep], bc[keep], tc[keep], dc[keep], x[keep]
-            cols = [(Gc[:, k, :], bc[:, k], dc[:, k], tc[:, k], x[:, k]) for k in range(p)]
-        if sweep % solvers._FACE_EVERY == 0:
-            rows, jump = solvers.face_steps(Gc, bc, tc, x)
-            x[rows] = jump
-    out[idx] = x
-    return out, idx
-
-
 def _batch_adaptive_weights(G, b, lengths, p, g):
     """Per-segment weight stack under the rule of ``solvers.ols``, and the
     mask of rows that fall back to ones, the unweighted lasso: those whose
@@ -280,21 +222,29 @@ def pair_costs(dataset: Dataset, pairs, config: PenaltyConfig) -> np.ndarray:
             raise EmptySegmentError("pairs contain an empty segment")
         if (pairs[:, 0] < 0).any() or (pairs[:, 1] > dataset.n).any():
             raise EmptySegmentError("pairs reach outside the sample")
-    return _pair_costs(dataset, _cumulative_stats(dataset), pairs, config)
+    return _pair_costs(dataset, _cumulative_stats(dataset), pairs, config)[0]
 
 
 def _pair_costs(dataset: Dataset, stats, pairs: np.ndarray, config: PenaltyConfig):
-    """``pair_costs`` of valid ``pairs``, given the cumulative ``stats``."""
+    """``pair_costs`` of valid ``pairs``, given the cumulative ``stats``,
+    with the fit behind each cost: returns the costs, the (M, p) stack of
+    coefficients that attain them, and a list of the weights each row
+    used (None where it used none or fell back to the unweighted lasso).
+    """
     costs = np.empty(len(pairs))
+    coefs = np.empty((len(pairs), dataset.p))
     if config.family != FAMILY_ADAPTIVE and config.gamma not in (1.0, 2.0):
         # bridge exponents have no vectorized path
         for i, (a, bnd) in enumerate(pairs):
-            costs[i] = segment_cost(dataset, (int(a), int(bnd)), config).penalized_cost
-        return costs
+            fit = segment_cost(dataset, (int(a), int(bnd)), config)
+            costs[i], coefs[i] = fit.penalized_cost, fit.coefficients
+        return costs, coefs, [None] * len(pairs)
 
+    weights = []
     for sl, G, b, yy in _segment_stacks(stats, pairs):
-        costs[sl] = _chunk_costs(dataset, pairs[sl], G, b, yy, config)
-    return costs
+        costs[sl], coefs[sl], w = _chunk_costs(dataset, pairs[sl], G, b, yy, config)
+        weights += w
+    return costs, coefs, weights
 
 
 def _gram_rss(G, b, yy, phi):
@@ -308,10 +258,12 @@ def _gram_rss(G, b, yy, phi):
 
 
 def _chunk_costs(dataset, pairs, G, b, yy, config):
+    """``_pair_costs`` of one chunk of Gram-form segment problems."""
     p = b.shape[1]
+    weights = [None] * len(pairs)
     if config.lambda_scale == 0.0:
         phi = np.einsum("ijk,ik->ij", np.linalg.pinv(G, hermitian=True), b)
-        return _gram_rss(G, b, yy, phi)
+        return _gram_rss(G, b, yy, phi), phi, weights
 
     lengths = pairs[:, 1] - pairs[:, 0]
     lam = config.lambda_scale * lengths.astype(np.float64) ** config.rho
@@ -323,24 +275,26 @@ def _chunk_costs(dataset, pairs, G, b, yy, config):
                 f"segment ({a}, {bnd}] has no least-squares weights: it is "
                 f"shorter than p={p} or its Gram matrix is singular"
             )
+        weights = [None if f else row for row, f in zip(w, fallback)]
     elif config.gamma == 2.0:
         A = G + lam[:, None, None] * np.eye(p)
         phi = np.linalg.solve(A, b[..., None])[..., 0]
-        return _gram_rss(G, b, yy, phi) + lam * np.einsum("ij,ij->i", phi, phi)
+        return _gram_rss(G, b, yy, phi) + lam * np.einsum("ij,ij->i", phi, phi), phi, weights
     else:
         w = np.ones((b.shape[0], p))
 
     thr = lam[:, None] * w / 2.0
-    phi, stalled = _batch_cd(G, b, thr, config.cd_tolerance, config.cd_max_iterations)
+    phi, stalled = solvers._batch_cd(G, b, thr, config.cd_tolerance, config.cd_max_iterations)
     # a problem that used the whole sweep budget keeps its cost only if its
-    # iterate is stationary, under the scalar solver's rule
+    # iterate is stationary, under the rule of lasso_cd
     for i in stalled:
         a, bnd = int(pairs[i, 0]), int(pairs[i, 1])
         solvers._require_stationary(
             phi[i], dataset.X[a:bnd], dataset.y[a:bnd], lam[i], w[i],
             config.cd_max_iterations,
         )
-    return _gram_rss(G, b, yy, phi) + lam * solvers._l1_terms(w, phi).sum(axis=1)
+    costs = _gram_rss(G, b, yy, phi) + lam * solvers._l1_terms(w, phi).sum(axis=1)
+    return costs, phi, weights
 
 
 def build_cost_table(
@@ -529,7 +483,7 @@ def _pruned_cost_table(
         """Costs of the listed (start node, end node) pairs, each solved once."""
         new = [seg for seg in segments if seg not in scored]
         pairs = nodes[np.array(new, dtype=np.int64).reshape(-1, 2)]
-        scored.update(zip(new, _pair_costs(dataset, stats, pairs, config)))
+        scored.update(zip(new, _pair_costs(dataset, stats, pairs, config)[0]))
         return np.array([scored[seg] for seg in segments])
 
     upper = np.inf
@@ -565,30 +519,72 @@ def _pruned_cost_table(
     return i, j, np.array(list(scored.values())), end + 1
 
 
-def _assemble_fit(
-    dataset: Dataset,
-    breakpoints,
-    config: PenaltyConfig,
-    *,
-    expected_total: float | None = None,
-) -> ChangePointFit:
-    """Refit the chosen segments through the scalar path and package them."""
-    ranges = segment_ranges(breakpoints, dataset.n)
-    fits = tuple(segment_cost(dataset, r, config) for r in ranges)
-    total = float(sum(f.penalized_cost for f in fits))
-    if expected_total is not None:
-        if not abs(total - expected_total) <= 1e-9 * max(1.0, abs(expected_total)):
+def _assemble_fits(dataset: Dataset, stats, partitions, config: PenaltyConfig, totals):
+    """Fits of the breakpoint vectors in ``partitions``, whose segments are
+    solved in one engine call.
+
+    Each segment's RSS and penalty are recomputed from the rows of ``X``
+    and ``y``, which checks the search: a lasso-family segment with
+    lam > 0 must pass ``kkt_check`` at 1e-6, and a partition's total must
+    match its search total (from ``totals``, or the engine's where that
+    is None) within 1e-9 relative, or ConsistencyError is raised.
+    """
+    ranges = [segment_ranges(bp, dataset.n) for bp in partitions]
+    pairs = np.array([(r.start, r.end) for rs in ranges for r in rs], dtype=np.int64)
+    costs, coefs, weights = _pair_costs(dataset, stats, pairs.reshape(-1, 2), config)
+    lasso = config.family == FAMILY_ADAPTIVE or config.gamma == 1.0
+    out, m = [], 0
+    for bp, rs, expected in zip(partitions, ranges, totals):
+        fits = []
+        for rng in rs:
+            X, y = dataset.X[rng.start : rng.end], dataset.y[rng.start : rng.end]
+            lam = config.lambda_scale * lambda_for_segment(rng, config.rho)
+            fits.append(solvers.wrap_coefficients(
+                X, y, coefs[m], lam, 1.0 if lasso or lam == 0.0 else config.gamma,
+                weights[m], 0.0 if lam == 0.0 else config.effective_zero_clamp,
+            ))
+            if lasso and lam > 0.0:
+                report = solvers.kkt_check(fits[-1], X, y, lam, weights[m], tolerance=1e-6)
+                if not report.passed:
+                    raise ConsistencyError(
+                        f"segment ({rng.start}, {rng.end}] of the chosen partition is "
+                        f"not stationary: worst violation {report.worst_violation:.3e} "
+                        f"at coordinate {report.worst_index}"
+                    )
+            m += 1
+        total = float(sum(f.penalized_cost for f in fits))
+        if expected is None:
+            expected = float(costs[m - len(rs) : m].sum())
+        if not abs(total - expected) <= 1e-9 * max(1.0, abs(expected)):
             raise ConsistencyError(
                 f"segment refit total {total!r} drifted from search total "
-                f"{expected_total!r}"
+                f"{expected!r}"
             )
-    return ChangePointFit(
-        k=len(ranges) - 1,
-        breakpoints=tuple(breakpoints),
-        segment_fits=fits,
-        total_score=total,
-        family=config.family,
+        out.append(ChangePointFit(
+            k=len(rs) - 1, breakpoints=tuple(bp), segment_fits=tuple(fits),
+            total_score=total, family=config.family,
+        ))
+    return out
+
+
+def _dense_fits(dataset: Dataset, ks, config: PenaltyConfig, min_seg_len: int) -> dict:
+    """Exact fits by K for the K in ``ks`` that are feasible: every
+    admissible segment is solved once, the dynamic program runs per K, and
+    the chosen segments of every K are solved in one stack."""
+    stats = _cumulative_stats(dataset)
+    i, j = np.triu_indices(dataset.n + 1, min_seg_len)
+    cost, _, _ = _pair_costs(dataset, stats, np.column_stack([i, j]), config)
+    found = {}
+    for k in ks:
+        try:
+            found[k] = _dp_minimize(i, j, cost, dataset.n + 1, k)
+        except InfeasiblePartitionError:
+            pass
+    fits = _assemble_fits(
+        dataset, stats, [nodes for _, nodes in found.values()], config,
+        [total for total, _ in found.values()],
     )
+    return dict(zip(found, fits))
 
 
 def _check_feasible(n: int, k: int, min_seg_len: int):
@@ -666,15 +662,16 @@ def optimal_breakpoints(
     actually solved.
     """
     min_len = _search_min_len(dataset, k, config, criterion)
+    stats = _cumulative_stats(dataset)
     if cost_table is None:
-        segments = _pruned_cost_table(dataset, _cumulative_stats(dataset), k, config, min_len)
+        segments = _pruned_cost_table(dataset, stats, k, config, min_len)
     elif cost_table.shape != (dataset.n + 1,) * 2 or not (cost_table > -np.inf).all():
         raise ValueError("cost_table must be (n+1) x (n+1) and hold no NaN or -inf")
     else:
         i, j = np.nonzero(np.isfinite(cost_table))
         segments = i, j, cost_table[i, j], dataset.n + 1
     total, nodes = _dp_minimize(*segments, k)
-    return _assemble_fit(dataset, nodes, config, expected_total=total)
+    return _assemble_fits(dataset, stats, [nodes], config, [total])[0]
 
 
 def refit_breakpoints_two_stage(
@@ -694,9 +691,9 @@ def refit_breakpoints_two_stage(
     breakpoint exhaustively within ``grid_step`` of its current value,
     holding the others fixed, sweeping until no breakpoint moves; a
     breakpoint moves only when some position strictly lowers the total of
-    its two segments, and then to the first position of least total.  Only
-    the final refit of the chosen segments runs the scalar
-    ``segment_cost``.  The result is coordinate-wise locally optimal but
+    its two segments, and then to the first position of least total.  The
+    chosen segments' fits come from one more engine call, as in
+    ``optimal_breakpoints``.  The result is coordinate-wise locally optimal but
     not guaranteed to be the global minimizer.  ``grid_step=1`` delegates
     to ``optimal_breakpoints``.
     """
@@ -705,11 +702,11 @@ def refit_breakpoints_two_stage(
     if grid_step == 1:
         return optimal_breakpoints(dataset, k, config, criterion)
     min_len = _search_min_len(dataset, k, config, criterion)
+    stats = _cumulative_stats(dataset)
     if k == 0:
-        return _assemble_fit(dataset, (), config)
+        return _assemble_fits(dataset, stats, [()], config, [None])[0]
 
     n = dataset.n
-    stats = _cumulative_stats(dataset)
     step = grid_step
     while True:
         interior = [t for t in range(step, n, step) if min_len <= t <= n - min_len]
@@ -731,7 +728,7 @@ def refit_breakpoints_two_stage(
             lo = max(bounds[r - 1] + min_len, bounds[r] - grid_step)
             hi = min(bounds[r + 1] - min_len, bounds[r] + grid_step)
             ts = np.arange(lo, hi + 1)
-            costs = _pair_costs(dataset, stats, np.concatenate([
+            costs, _, _ = _pair_costs(dataset, stats, np.concatenate([
                 np.column_stack([np.full_like(ts, bounds[r - 1]), ts]),
                 np.column_stack([ts, np.full_like(ts, bounds[r + 1])]),
             ]), config)
@@ -742,4 +739,4 @@ def refit_breakpoints_two_stage(
                 moved = True
         if not moved:
             break
-    return _assemble_fit(dataset, bounds[1:-1], config)
+    return _assemble_fits(dataset, stats, [bounds[1:-1]], config, [None])[0]

@@ -40,7 +40,7 @@ from .model import (
     segment_ranges,
     validate_dataset,
 )
-from .segmentation import build_cost_table, optimal_breakpoints, refit_breakpoints_two_stage
+from .segmentation import _dense_fits, refit_breakpoints_two_stage
 
 _SCORE_FLOOR = 1e-300
 _TIE_REL = 1e-12
@@ -101,27 +101,27 @@ def select_k(
     Ties within 1e-12 relative resolve toward the smaller K.  Infeasible K
     values (minimum segment length times K+1 exceeding n) are recorded in
     the table and skipped; if every K is infeasible the error propagates.
-    With the default exact search the segment-cost table is built once and
-    shared across all K.
+    The default exact search solves every admissible segment once and the
+    chosen segments of all K in one more stack.
     """
     validate_dataset(dataset)
     min_len = effective_min_seg_len(penalty, criterion, dataset.p)
-    table = None
-    if grid_step is None and (min_len <= dataset.n):
-        table = build_cost_table(dataset, penalty, min_len)
+    ks = range(criterion.k_max + 1)
+    if grid_step is None:
+        exact = _dense_fits(dataset, ks, penalty, min_len)
     rows = []
     best = None  # (value, k, fit)
-    for k in range(criterion.k_max + 1):
-        try:
-            if grid_step is None:
-                fit = optimal_breakpoints(
-                    dataset, k, penalty, criterion, cost_table=table
-                )
-            else:
+    for k in ks:
+        if grid_step is None:
+            fit = exact.get(k)
+        else:
+            try:
                 fit = refit_breakpoints_two_stage(
                     dataset, k, penalty, criterion, grid_step=grid_step
                 )
-        except InfeasiblePartitionError:
+            except InfeasiblePartitionError:
+                fit = None
+        if fit is None:
             rows.append(SelectionRow(k, False, None, None, None))
             continue
         value = criterion_value(dataset, fit, criterion)

@@ -10,10 +10,12 @@ where the penalty is ``sum_k w_k |phi_k|`` for the (weighted) lasso,
 exponents.  The penalty is a plain sum: it is not divided by 2 or by the
 segment length, and the tuning constant ``lam`` multiplies it directly.
 
-The lasso path uses cyclic coordinate descent with exact soft-threshold
-updates in Gram form.  An infinite weight pins its coordinate at exactly 0
-and contributes nothing to the penalty value; this is how downstream code
-encodes coordinates whose least-squares estimate vanished.
+The lasso path has one loop, ``_batch_cd``: cyclic coordinate descent
+with exact soft-threshold updates in Gram form over a stack of problems,
+which ``lasso_cd`` runs on a stack of one.  An infinite weight pins its
+coordinate at exactly 0 and contributes nothing to the penalty value;
+this is how downstream code encodes coordinates whose least-squares
+estimate vanished.
 """
 
 from __future__ import annotations
@@ -32,13 +34,6 @@ from .errors import (
 from .model import SegmentFit
 
 _GRAM_COND_FLOOR = 1e-10
-
-
-def soft_threshold(z: float, t: float) -> float:
-    """Scalar soft-threshold operator: sign(z) * max(|z| - t, 0)."""
-    if abs(z) <= t:
-        return 0.0
-    return z - t if z > 0 else z + t
 
 
 def penalty_sum(phi: np.ndarray, gamma: float = 1.0, weights: np.ndarray | None = None) -> float:
@@ -192,11 +187,6 @@ def _gram_scores(G, b, thr, phi):
     return quad + 2.0 * _l1_terms(thr, phi).sum(axis=-1)
 
 
-def _gram_score(G, b, thr, phi):
-    """``_gram_scores`` of one problem."""
-    return float(_gram_scores(G[None], b[None], thr[None], phi[None])[0])
-
-
 def face_steps(G, b, thr, phi):
     """Exact minimizers on the faces fixed by the current supports and signs.
 
@@ -239,46 +229,59 @@ def face_steps(G, b, thr, phi):
 
 
 def face_step(G, b, thr, phi):
-    """``face_steps`` of one problem, so that the scalar solver and the
-    batched engine share one acceptance rule: the accepted candidate
-    vector, or None."""
+    """``face_steps`` of one problem: the accepted candidate vector, or
+    None."""
     rows, cand = face_steps(G[None], b[None], thr[None], phi[None])
     return cand[0] if rows.size else None
 
 
-def _cd_gram(G, b, lam, weights, tol, max_iter):
-    """Cyclic coordinate descent on the Gram form of the weighted lasso.
+def _batch_cd(G, b, thr, tol, max_iter):
+    """Cyclic coordinate descent over a stack of Gram-form weighted-lasso
+    problems (``thr`` = lam * w / 2).  Returns the coefficient stack and
+    the indices of the problems that used up the sweep budget.
 
-    Returns (phi, converged).  Sweeps stop once the largest coefficient
-    change in a sweep is at most ``tol``, as in glmnet (Friedman, Hastie &
-    Tibshirani 2010); no objective is evaluated.  Each exact
-    soft-threshold update minimizes the objective along its coordinate, so
-    the objective never rises (the tests check this), and every few sweeps
-    a face_step proposal is tried under the rule of ``face_steps``.
+    A problem leaves the working set once no coordinate moved more than
+    ``tol`` in a sweep, as in glmnet (Friedman, Hastie & Tibshirani 2010).
+    Exact soft-threshold updates never raise the objective, nor does the
+    ``face_steps`` call every ``_FACE_EVERY`` sweeps.  Each coordinate
+    update is a few whole-stack numpy calls: a column that is zero inside
+    its segment gets divisor 1 and threshold +inf, so it stays at 0.
     """
-    p = b.shape[0]
-    phi = np.zeros(p)
-    diag = np.diag(G).copy()
-    with np.errstate(invalid="ignore"):
-        thr = lam * weights / 2.0
-    thr = np.where(np.isnan(thr), 0.0, thr)
+    m, p = b.shape
+    out = np.zeros((m, p))
+    idx = np.arange(m)
+    if not m:
+        return out, idx
+    x = np.zeros((m, p))
+    diag = G[:, np.arange(p), np.arange(p)]
+    live = diag > 0.0
+    Gc, bc = G, b
+    dc, tc = np.where(live, diag, 1.0), np.where(live, thr, np.inf)
+    cols = [(Gc[:, k, :], bc[:, k], dc[:, k], tc[:, k], x[:, k]) for k in range(p)]
     for sweep in range(1, max_iter + 1):
-        delta = 0.0
-        for k in range(p):
-            if diag[k] <= 0.0:
-                # zero column inside the segment: penalty keeps it at 0
-                continue
-            c = b[k] - G[k] @ phi + diag[k] * phi[k]
-            new = soft_threshold(c, thr[k]) / diag[k]
-            delta = max(delta, abs(new - phi[k]))
-            phi[k] = new
-        if delta <= tol:
-            return phi, True
+        start = x.copy()
+        for Gk, bk, dk, tk, xk in cols:
+            c = bk - np.einsum("ij,ij->i", Gk, x) + dk * xk
+            new = np.abs(c)
+            new -= tk
+            np.maximum(new, 0.0, out=new)
+            np.copysign(new, c, out=xk)
+            xk /= dk
+        start -= x
+        done = np.abs(start, out=start).max(axis=1) <= tol
+        if done.any():
+            out[idx[done]] = x[done]
+            keep = ~done
+            if not keep.any():
+                return out, np.empty(0, dtype=int)
+            idx = idx[keep]
+            Gc, bc, tc, dc, x = Gc[keep], bc[keep], tc[keep], dc[keep], x[keep]
+            cols = [(Gc[:, k, :], bc[:, k], dc[:, k], tc[:, k], x[:, k]) for k in range(p)]
         if sweep % _FACE_EVERY == 0:
-            jump = face_step(G, b, thr, phi)
-            if jump is not None:
-                phi = jump
-    return phi, False
+            rows, jump = face_steps(Gc, bc, tc, x)
+            x[rows] = jump
+    out[idx] = x
+    return out, idx
 
 
 def wrap_coefficients(
@@ -292,12 +295,12 @@ def wrap_coefficients(
 ) -> SegmentFit:
     """Package raw coefficients as a SegmentFit.
 
-    Applies the zero clamp, then recomputes the residual sum of squares and
-    penalty value at the returned (clamped) coefficients so that the
-    cost decomposition refers to what is actually reported.
+    Applies the zero clamp (exact zeros come out as +0.0), then recomputes
+    the residual sum of squares and penalty value at the returned (clamped)
+    coefficients so that the cost decomposition refers to what is reported.
     """
     phi = np.asarray(phi, dtype=np.float64)
-    phi = np.where(np.abs(phi) <= zero_clamp, 0.0, phi) if zero_clamp > 0 else phi
+    phi = np.where(np.abs(phi) <= zero_clamp, 0.0, phi)
     r = y - X @ phi
     rss = float(r @ r)
     penalty = lam * penalty_sum(phi, gamma=gamma, weights=weights)
@@ -315,7 +318,7 @@ def _require_stationary(phi, X, y, lam, weights, max_iter):
     """Accept a coordinate-descent iterate that used all ``max_iter`` sweeps.
 
     The iterate stands only if it passes ``kkt_check`` at 1e-6; otherwise
-    NoConvergenceError is raised.  The scalar solver and the batched cost
+    NoConvergenceError is raised.  ``lasso_cd`` and the segment-cost
     engine share this rule.
     """
     report = kkt_check(phi, X, y, lam, weights=weights, tolerance=1e-6)
@@ -337,7 +340,7 @@ def lasso_cd(
     max_iter: int = 10000,
     zero_clamp: float = 0.0,
 ) -> SegmentFit:
-    """Weighted lasso via cyclic coordinate descent.
+    """Weighted lasso by coordinate descent: ``_batch_cd`` on a stack of one.
 
     Sweeps stop when the largest coefficient change in a sweep is at most
     ``tol``.  If the iteration budget runs out, the result is kept only if
@@ -358,10 +361,11 @@ def lasso_cd(
         if np.any(weights < 0) or np.any(np.isnan(weights)):
             raise ValueError("weights must be nonnegative")
     w = np.ones(p) if weights is None else weights
-    phi, converged = _cd_gram(X.T @ X, X.T @ y, lam, w, tol, max_iter)
-    if not converged:
-        _require_stationary(phi, X, y, lam, w, max_iter)
-    return wrap_coefficients(X, y, phi, lam, 1.0, weights, zero_clamp)
+    thr = lam * w / 2.0 if lam > 0 else np.zeros(p)  # lam = 0 unpins infinite weights
+    phi, stalled = _batch_cd((X.T @ X)[None], (X.T @ y)[None], thr[None], tol, max_iter)
+    if stalled.size:
+        _require_stationary(phi[0], X, y, lam, w, max_iter)
+    return wrap_coefficients(X, y, phi[0], lam, 1.0, weights, zero_clamp)
 
 
 def _bridge_objective(G, b, yy, lam, gamma, phi):
@@ -404,23 +408,22 @@ def _bridge_lla(G, b, yy, lam, gamma, starts, tol, max_iter):
     and solves the resulting weighted lasso, which never increases the true
     objective.  Runs from every start and keeps the best candidate; the
     zero vector always competes, so the result is never worse than giving
-    up on the segment entirely.
+    up on the segment entirely.  The starts share one ``_batch_cd`` stack.
     """
-    p = b.shape[0]
-    candidates = [np.zeros(p)]
-    for phi0 in starts:
-        phi = np.asarray(phi0, dtype=np.float64).copy()
-        for _ in range(100):
-            a = np.abs(phi)
-            with np.errstate(divide="ignore"):
-                w = gamma * a ** (gamma - 1.0)  # inf at exact zeros: stays pinned
-            new, _ = _cd_gram(G, b, lam, w, tol, max_iter)
-            if float(np.max(np.abs(new - phi))) <= max(tol, 1e-10):
-                phi = new
-                break
-            phi = new
-        candidates.append(phi)
-
+    phi = np.array(starts, dtype=np.float64)
+    live = np.arange(len(phi))
+    for _ in range(100):
+        with np.errstate(divide="ignore"):
+            w = gamma * np.abs(phi[live]) ** (gamma - 1.0)  # inf at exact zeros: stays pinned
+        thr = lam * w / 2.0 if lam > 0 else np.zeros_like(w)
+        stack = np.repeat(G[None], len(live), axis=0), np.repeat(b[None], len(live), axis=0)
+        new, _ = _batch_cd(*stack, thr, tol, max_iter)
+        settled = np.max(np.abs(new - phi[live]), axis=1) <= max(tol, 1e-10)
+        phi[live] = new
+        live = live[~settled]
+        if not live.size:
+            break
+    candidates = [np.zeros(b.shape[0]), *phi]
     values = [_bridge_objective(G, b, yy, lam, gamma, v) for v in candidates]
     return candidates[int(np.argmin(values))]
 

@@ -6,11 +6,13 @@ lower bound leaves them a chance of lying on an optimal partition; the
 search bounds blocks of segments first and refines the blocks that survive.
 These tests hold both searches to their dense counterparts bit for bit
 (the full table, and the grid with every admissible segment solved), also
-at forced small block sizes, check the segment and block bounds on awkward
-designs, count the bounds and solves an n = 1500 fit needs, bound the
-memory of an exact n = 5000 fit, hold the dynamic programs over segment
-lists to their dense originals, and pin the typed consistency error that
-replaced the runtime asserts (it must fire under ``python -O`` too).
+at forced small block sizes, hold the exact ``select_k``, which takes the
+fits of every K from one stack, to per-K fits on the dense table, check
+the segment and block bounds on awkward designs, count the bounds and
+solves an n = 1500 fit needs, bound the memory of an exact n = 5000 fit,
+hold the dynamic programs over segment lists to their dense originals,
+and pin the typed consistency error that replaced the runtime asserts (it
+must fire under ``python -O`` too).
 """
 
 import subprocess
@@ -39,7 +41,7 @@ from segbreak import (
     select_k,
     table_preset,
 )
-from segbreak import segmentation
+from segbreak import segmentation, selection
 from segbreak.segmentation import (
     _BOUND_SLACK,
     _block_bounds,
@@ -82,7 +84,8 @@ def _each_block_size(monkeypatch):
 
 
 def _assert_same_search(monkeypatch, ds, ks, config, min_len=None):
-    """Pruned == dense, under the block-size rule and at each forced size."""
+    """Pruned == dense, under the block-size rule and at each forced size,
+    and the exact ``select_k`` over K = 0 .. max(ks) == dense."""
     crit = None if min_len is None else CriterionConfig(min_seg_len=min_len)
     table = _dense_table(ds, config, min_len)
     dense = {k: optimal_breakpoints(ds, k, config, crit, cost_table=table) for k in ks}
@@ -91,6 +94,47 @@ def _assert_same_search(monkeypatch, ds, ks, config, min_len=None):
             pruned = optimal_breakpoints(ds, k, config, crit)
             assert pruned.breakpoints == dense[k].breakpoints, (size, k)
             assert pruned.total_score == dense[k].total_score, (size, k)
+    _assert_same_selection(monkeypatch, ds, config, min_len, table, dense)
+
+
+def _assert_same_selection(monkeypatch, ds, config, min_len, table, dense):
+    """``select_k``'s exact path, which solves one dense list of segments
+    and takes the fits of every K from one stack, against per-K
+    ``optimal_breakpoints`` on the dense ``table`` (``dense`` holds some
+    of those fits already): the same rows, breakpoints and ``k_hat``,
+    each s_K within 1e-12 relative and the coefficients within 1e-10."""
+    crit = CriterionConfig(k_max=max(dense), min_seg_len=min_len)
+    for k in range(crit.k_max + 1):
+        if k not in dense:
+            try:
+                dense[k] = optimal_breakpoints(ds, k, config, crit, cost_table=table)
+            except InfeasiblePartitionError:
+                pass
+    original = selection._dense_fits
+    stacked = {}
+
+    def recording(*args):
+        stacked.update(original(*args))
+        return stacked
+
+    def per_k(dataset, ks, cfg, min_seg_len):
+        return {k: dense[k] for k in ks if k in dense}
+
+    try:
+        monkeypatch.setattr(selection, "_dense_fits", recording)
+        got = select_k(ds, config, crit)
+        monkeypatch.setattr(selection, "_dense_fits", per_k)
+        want = select_k(ds, config, crit)
+    finally:
+        monkeypatch.setattr(selection, "_dense_fits", original)
+    assert got.k_hat == want.k_hat
+    assert stacked.keys() == dense.keys()
+    for row, ref in zip(got.rows, want.rows, strict=True):
+        assert (row.k, row.feasible, row.breakpoints) == (ref.k, ref.feasible, ref.breakpoints)
+        assert row.s_k == pytest.approx(ref.s_k, rel=1e-12, abs=0.0), row.k
+    for k, fit in stacked.items():
+        for seg, ref in zip(fit.segment_fits, dense[k].segment_fits, strict=True):
+            np.testing.assert_allclose(seg.coefficients, ref.coefficients, rtol=0.0, atol=1e-10)
 
 
 def _admissible_pairs(nodes, min_len):

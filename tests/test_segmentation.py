@@ -8,6 +8,7 @@ import pytest
 
 from segbreak import (
     AdaptiveUnavailableError,
+    ConsistencyError,
     CriterionConfig,
     Dataset,
     EmptySegmentError,
@@ -26,8 +27,8 @@ from segbreak import (
     segment_cost,
     segment_ranges,
 )
-from segbreak.segmentation import _batch_cd
-from segbreak.solvers import _cd_gram
+from segbreak import solvers
+from segbreak.solvers import _FACE_EVERY, _batch_cd, face_step
 
 
 def _one_break(n=60, p=3, b=30, seed=0, sigma=0.3):
@@ -335,6 +336,34 @@ def _mixed_gram_stack():
     return problems
 
 
+def _cd_oracle(G, b, lam, weights, tol, max_iter):
+    """Cyclic coordinate descent on one Gram-form weighted-lasso problem,
+    one scalar update at a time: the loop that ``_batch_cd`` runs over a
+    stack, with the same stopping rule and face step.  Returns (phi,
+    converged)."""
+    p = b.shape[0]
+    phi = np.zeros(p)
+    diag = np.diag(G).copy()
+    thr = lam * weights / 2.0
+    for sweep in range(1, max_iter + 1):
+        delta = 0.0
+        for k in range(p):
+            if diag[k] <= 0.0:
+                continue  # zero column inside the segment: the penalty keeps it at 0
+            c = b[k] - G[k] @ phi + diag[k] * phi[k]
+            t = thr[k]
+            new = (0.0 if abs(c) <= t else c - t if c > 0 else c + t) / diag[k]
+            delta = max(delta, abs(new - phi[k]))
+            phi[k] = new
+        if delta <= tol:
+            return phi, True
+        if sweep % _FACE_EVERY == 0:
+            jump = face_step(G, b, thr, phi)
+            if jump is not None:
+                phi = jump
+    return phi, False
+
+
 class TestBatchCoordinateDescent:
     @pytest.mark.parametrize("max_iter", [10_000, 10, 8])
     def test_matches_scalar_solver_per_problem(self, max_iter):
@@ -349,7 +378,7 @@ class TestBatchCoordinateDescent:
             phi, stalled = _batch_cd(G, b, thr, 1e-8, max_iter)
         converged = []
         for i, (X, y, w) in enumerate(problems):
-            ref, ok = _cd_gram(X.T @ X, X.T @ y, lam, w, 1e-8, max_iter)
+            ref, ok = _cd_oracle(X.T @ X, X.T @ y, lam, w, 1e-8, max_iter)
             # relative to the problem's largest coefficient, as a coordinate
             # near 0 carries the rounding of the large ones
             np.testing.assert_allclose(phi[i], ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())
@@ -439,6 +468,39 @@ class TestDynamicProgram:
         shared = optimal_breakpoints(ds, 1, config, cost_table=table)
         assert direct.breakpoints == shared.breakpoints
         assert direct.total_score == pytest.approx(shared.total_score, rel=1e-12)
+
+
+class TestChosenSegmentCheck:
+    """The fits of the chosen segments are checked against the rows of X
+    and y: their recomputed total against the search total (the dense
+    table test in test_pruning.py), and each lasso-family segment for
+    stationarity, which this class pins.  Both must hold under
+    ``python -O``, where this file also runs."""
+
+    @staticmethod
+    def _off_by_one_percent(monkeypatch):
+        # every coefficient stack the engine returns is scaled by 1.01, so
+        # the search and the refit agree on costs that no minimizer attains
+        engine = solvers._batch_cd
+
+        def scaled(G, b, thr, tol, max_iter):
+            phi, stalled = engine(G, b, thr, tol, max_iter)
+            return 1.01 * phi, stalled
+
+        monkeypatch.setattr(solvers, "_batch_cd", scaled)
+
+    @pytest.mark.parametrize(
+        "config",
+        [PenaltyConfig(), PenaltyConfig(family="lasso_type", gamma=1.0)],
+        ids=["adaptive", "lasso"],
+    )
+    def test_non_stationary_fit_raises(self, monkeypatch, config):
+        ds = _one_break(n=60, p=3, b=30, seed=33, sigma=0.2)
+        self._off_by_one_percent(monkeypatch)
+        with pytest.raises(ConsistencyError, match=r"segment \(0, \d+\] .* not stationary"):
+            optimal_breakpoints(ds, 1, config)
+        with pytest.raises(ConsistencyError, match="not stationary"):
+            refit_breakpoints_two_stage(ds, 1, config, grid_step=5)
 
 
 class TestTwoStage:

@@ -16,10 +16,9 @@ from segbreak import (
     penalized_objective,
     penalty_sum,
     ridge,
-    soft_threshold,
     wrap_coefficients,
 )
-from segbreak.solvers import _cd_gram, _gram_score, face_step, face_steps
+from segbreak.solvers import _batch_cd, _gram_scores, face_step, face_steps
 
 
 def _problem(m=50, p=5, seed=1, sigma=0.5):
@@ -46,20 +45,6 @@ def _grid_zoom(obj, lo, hi, rounds=6, points=2001):
         step = xs[1] - xs[0]
         lo, hi = xs[i] - step, xs[i] + step
     return 0.5 * (lo + hi)
-
-
-class TestSoftThreshold:
-    def test_shrinks_toward_zero(self):
-        assert soft_threshold(3.0, 1.0) == 2.0
-        assert soft_threshold(-3.0, 1.0) == -2.0
-
-    def test_dead_zone_is_exact_zero(self):
-        assert soft_threshold(0.5, 1.0) == 0.0
-        assert soft_threshold(-1.0, 1.0) == 0.0
-        assert soft_threshold(1.0, 1.0) == 0.0  # boundary included
-
-    def test_zero_threshold_is_identity(self):
-        assert soft_threshold(0.3, 0.0) == 0.3
 
 
 class TestPenaltySum:
@@ -283,15 +268,15 @@ class TestCoordinateDescentDescent:
         "design", ["near_collinear", "correlated_infinite_weight", "zero_column"]
     )
     def test_objective_never_rises(self, design):
-        # the s-sweep iterate for s = 1..60, across the face steps every
-        # _FACE_EVERY sweeps: its objective must never rise
+        # the engine's s-sweep iterate for s = 1..60, across the face steps
+        # every _FACE_EVERY sweeps: its objective must never rise
         X, y, w = _descent_design(design)
         lam = float(X.shape[0] ** 0.45)
-        G, b = X.T @ X, X.T @ y
+        G, b, thr = X.T @ X, X.T @ y, lam * w / 2.0
         values = []
         for sweeps in range(1, 61):
-            phi, _ = _cd_gram(G, b, lam, w, 0.0, sweeps)
-            values.append(penalized_objective(X, y, phi, lam, weights=w))
+            phi, _ = _batch_cd(G[None], b[None], thr[None], 0.0, sweeps)
+            values.append(penalized_objective(X, y, phi[0], lam, weights=w))
         for before, after in zip(values, values[1:]):
             assert after <= before + 1e-9 * abs(before)
         assert values[-1] < values[0]
@@ -311,7 +296,9 @@ class TestFaceStep:
         cand = face_step(G, b, thr, phi)
         assert cand is not None
         assert np.all(np.sign(cand[phi != 0.0]) == np.sign(phi[phi != 0.0]))
-        assert _gram_score(G, b, thr, cand) <= _gram_score(G, b, thr, phi) + 1e-12
+        iterates = np.stack([cand, phi])[:, None]
+        after, before = _gram_scores(G[None], b[None], thr[None], iterates)[:, 0]
+        assert after <= before + 1e-12
 
     def test_fixed_point_at_solution(self):
         Q, y = _orthonormal(seed=79)
@@ -470,3 +457,10 @@ class TestWrapCoefficients:
         assert fit.coefficients[1] == 0.0
         assert fit.coefficients[3] == 0.0
         assert fit.active_set == frozenset({0, 2})
+
+    def test_negative_zero_reported_as_zero(self):
+        # the batched soft-threshold leaves -0.0 where the correlation is
+        # negative; reports must not print it
+        X, y, _ = _problem(m=30, p=4, seed=109)
+        fit = wrap_coefficients(X, y, np.array([1.0, -0.0, -2.0, 0.0]), 1.0)
+        assert not np.signbit(fit.coefficients[fit.coefficients == 0.0]).any()
