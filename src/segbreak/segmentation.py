@@ -13,18 +13,19 @@ X'X, X'y, y'y), so each candidate segment costs O(p^2) regardless of its
 length.  It runs ``solvers._batch_cd`` on a whole stack of segment
 problems at once, under the rules of the single-segment solver
 ``segment_cost`` (the tests' reference) for adaptive-weight fallback and
-for problems that use the whole sweep budget.  The reported fits of the
-chosen segments come from the same engine, checked against the rows
-(``_assemble_fits``).  ``select_k`` solves every admissible segment once
-for all K.  A single K-break search (``optimal_breakpoints`` over every
-sample position, the coarse grid of the approximate
-``refit_breakpoints_two_stage``) instead keeps a list of segments:
-least-squares lower bounds, on blocks of segments and then on single
-segments, leave only those that can lie on an optimal partition, and
-only those are solved.  No (n+1) x (n+1) array is built, a segment that
-exhausts the sweep budget fails a search only if it survives, and the
-result equals the dense table's (``optimal_breakpoints`` gives the rules
-and the argument).
+for problems that use the whole sweep budget; only the smooth bridge
+exponents (gamma > 1 other than 2) are solved one segment at a time.
+The reported fits of the chosen segments come from the same engine,
+checked against the rows (``_assemble_fits``).  ``select_k`` solves
+every admissible segment once for all K.  A single K-break search
+(``optimal_breakpoints`` over every sample position, the coarse grid of
+the approximate ``refit_breakpoints_two_stage``) instead keeps a list of
+segments: least-squares lower bounds, on blocks of segments and then on
+single segments, leave only those that can lie on an optimal partition,
+and only those are solved.  No (n+1) x (n+1) array is built, a segment
+that exhausts the sweep budget fails a search only if it survives, and
+the result equals the dense table's (``optimal_breakpoints`` gives the
+rules and the argument).
 """
 
 from __future__ import annotations
@@ -101,6 +102,17 @@ def adaptive_weights(dataset: Dataset, rng, g: float) -> np.ndarray:
         return np.abs(phi_ls) ** (-g)
 
 
+def _report_rule(config: PenaltyConfig, lam: float):
+    """Penalty exponent and zero clamp of a reported segment fit whose
+    tuning constant is ``lam``.  The exponent is 1 for the lasso family
+    (adaptive, or gamma = 1) and for a least-squares fit (lam = 0), which
+    is reported unclamped."""
+    if lam == 0.0:
+        return 1.0, 0.0
+    gamma = 1.0 if config.family == FAMILY_ADAPTIVE else config.gamma
+    return gamma, config.effective_zero_clamp
+
+
 def segment_cost(dataset: Dataset, rng, config: PenaltyConfig):
     """Fit one segment under the configured penalty and return its SegmentFit.
 
@@ -115,16 +127,15 @@ def segment_cost(dataset: Dataset, rng, config: PenaltyConfig):
     X = dataset.X[rng.start : rng.end]
     y = dataset.y[rng.start : rng.end]
     lam = config.lambda_scale * lambda_for_segment(rng, config.rho)
+    gamma, clamp = _report_rule(config, lam)
+    cd = dict(tol=config.cd_tolerance, max_iter=config.cd_max_iterations, zero_clamp=clamp)
 
     if lam == 0.0:
         try:
             phi = solvers.ols(X, y)
-            return solvers.wrap_coefficients(X, y, phi, 0.0, gamma=1.0)
         except (UnderdeterminedError, SingularGramError):
-            return solvers.lasso_cd(
-                X, y, 0.0, tol=config.cd_tolerance,
-                max_iter=config.cd_max_iterations,
-            )
+            return solvers.lasso_cd(X, y, 0.0, **cd)
+        return solvers.wrap_coefficients(X, y, phi, 0.0, gamma, None, clamp)
 
     if config.family == FAMILY_ADAPTIVE:
         try:
@@ -133,28 +144,12 @@ def segment_cost(dataset: Dataset, rng, config: PenaltyConfig):
             if not config.adaptive_fallback:
                 raise
             weights = None  # unweighted fallback
-        return solvers.lasso_cd(
-            X, y, lam, weights=weights,
-            tol=config.cd_tolerance, max_iter=config.cd_max_iterations,
-            zero_clamp=config.effective_zero_clamp,
-        )
-
-    if config.gamma == 1.0:
-        return solvers.lasso_cd(
-            X, y, lam,
-            tol=config.cd_tolerance, max_iter=config.cd_max_iterations,
-            zero_clamp=config.effective_zero_clamp,
-        )
-    if config.gamma == 2.0:
-        phi = solvers.ridge(X, y, lam)
-        return solvers.wrap_coefficients(
-            X, y, phi, lam, gamma=2.0, zero_clamp=config.effective_zero_clamp
-        )
-    return solvers.bridge(
-        X, y, lam, config.gamma,
-        tol=config.cd_tolerance, max_iter=config.cd_max_iterations,
-        zero_clamp=config.effective_zero_clamp,
-    )
+        return solvers.lasso_cd(X, y, lam, weights=weights, **cd)
+    if gamma == 1.0:
+        return solvers.lasso_cd(X, y, lam, **cd)
+    if gamma == 2.0:
+        return solvers.wrap_coefficients(X, y, solvers.ridge(X, y, lam), lam, gamma, None, clamp)
+    return solvers.bridge(X, y, lam, gamma, **cd)
 
 
 # ---------------------------------------------------------------------------
@@ -227,24 +222,28 @@ def pair_costs(dataset: Dataset, pairs, config: PenaltyConfig) -> np.ndarray:
 
 def _pair_costs(dataset: Dataset, stats, pairs: np.ndarray, config: PenaltyConfig):
     """``pair_costs`` of valid ``pairs``, given the cumulative ``stats``,
-    with the fit behind each cost: returns the costs, the (M, p) stack of
-    coefficients that attain them, and a list of the weights each row
-    used (None where it used none or fell back to the unweighted lasso).
+    with the fit behind each cost.  Returns ``(costs, coefs, w,
+    fallback)``: the costs, the (M, p) stack of coefficients that attain
+    them, and for an adaptive penalty the (M, p) weight stack and the mask
+    of rows that fell back to the unweighted lasso (both None otherwise).
     """
     costs = np.empty(len(pairs))
     coefs = np.empty((len(pairs), dataset.p))
-    if config.family != FAMILY_ADAPTIVE and config.gamma not in (1.0, 2.0):
-        # bridge exponents have no vectorized path
+    if config.family != FAMILY_ADAPTIVE and config.gamma > 1.0 and config.gamma != 2.0:
+        # the smooth bridge exponents have no vectorized path
         for i, (a, bnd) in enumerate(pairs):
             fit = segment_cost(dataset, (int(a), int(bnd)), config)
             costs[i], coefs[i] = fit.penalized_cost, fit.coefficients
-        return costs, coefs, [None] * len(pairs)
+        return costs, coefs, None, None
 
-    weights = []
+    weighted = config.family == FAMILY_ADAPTIVE and config.lambda_scale > 0.0
+    w = np.empty((len(pairs), dataset.p)) if weighted else None
+    fallback = np.empty(len(pairs), dtype=bool) if weighted else None
     for sl, G, b, yy in _segment_stacks(stats, pairs):
-        costs[sl], coefs[sl], w = _chunk_costs(dataset, pairs[sl], G, b, yy, config)
-        weights += w
-    return costs, coefs, weights
+        costs[sl], coefs[sl], w_sl, fallback_sl = _chunk_costs(dataset, pairs[sl], G, b, yy, config)
+        if weighted:
+            w[sl], fallback[sl] = w_sl, fallback_sl
+    return costs, coefs, w, fallback
 
 
 def _gram_rss(G, b, yy, phi):
@@ -260,13 +259,13 @@ def _gram_rss(G, b, yy, phi):
 def _chunk_costs(dataset, pairs, G, b, yy, config):
     """``_pair_costs`` of one chunk of Gram-form segment problems."""
     p = b.shape[1]
-    weights = [None] * len(pairs)
     if config.lambda_scale == 0.0:
         phi = np.einsum("ijk,ik->ij", np.linalg.pinv(G, hermitian=True), b)
-        return _gram_rss(G, b, yy, phi), phi, weights
+        return _gram_rss(G, b, yy, phi), phi, None, None
 
     lengths = pairs[:, 1] - pairs[:, 0]
     lam = config.lambda_scale * lengths.astype(np.float64) ** config.rho
+    fallback = None
     if config.family == FAMILY_ADAPTIVE:
         w, fallback = _batch_adaptive_weights(G, b, lengths, p, config.g)
         if not config.adaptive_fallback and fallback.any():
@@ -275,11 +274,24 @@ def _chunk_costs(dataset, pairs, G, b, yy, config):
                 f"segment ({a}, {bnd}] has no least-squares weights: it is "
                 f"shorter than p={p} or its Gram matrix is singular"
             )
-        weights = [None if f else row for row, f in zip(w, fallback)]
     elif config.gamma == 2.0:
         A = G + lam[:, None, None] * np.eye(p)
         phi = np.linalg.solve(A, b[..., None])[..., 0]
-        return _gram_rss(G, b, yy, phi) + lam * np.einsum("ij,ij->i", phi, phi), phi, weights
+        return _gram_rss(G, b, yy, phi) + lam * np.einsum("ij,ij->i", phi, phi), phi, None, None
+    elif config.gamma < 1.0:
+        X, y = dataset.X, dataset.y
+        starts = zip(*(
+            solvers._bridge_starts(X[a:bnd], y[a:bnd], lam_i)
+            for (a, bnd), lam_i in zip(pairs, lam)
+        ))
+        phi = solvers._bridge_lla(
+            G, b, yy, lam, config.gamma, [np.array(s) for s in starts],
+            config.cd_tolerance, config.cd_max_iterations,
+        )
+        # the reported fit is clamped (solvers.bridge), and so is its cost
+        phi[np.abs(phi) <= config.effective_zero_clamp] = 0.0
+        penalty = lam * (np.abs(phi) ** config.gamma).sum(axis=1)
+        return _gram_rss(G, b, yy, phi) + penalty, phi, None, None
     else:
         w = np.ones((b.shape[0], p))
 
@@ -294,7 +306,7 @@ def _chunk_costs(dataset, pairs, G, b, yy, config):
             config.cd_max_iterations,
         )
     costs = _gram_rss(G, b, yy, phi) + lam * solvers._l1_terms(w, phi).sum(axis=1)
-    return costs, phi, weights
+    return costs, phi, w, fallback
 
 
 def build_cost_table(
@@ -523,34 +535,40 @@ def _assemble_fits(dataset: Dataset, stats, partitions, config: PenaltyConfig, t
     """Fits of the breakpoint vectors in ``partitions``, whose segments are
     solved in one engine call.
 
-    Each segment's RSS and penalty are recomputed from the rows of ``X``
-    and ``y``, which checks the search: a lasso-family segment with
-    lam > 0 must pass ``kkt_check`` at 1e-6, and a partition's total must
-    match its search total (from ``totals``, or the engine's where that
-    is None) within 1e-9 relative, or ConsistencyError is raised.
+    The engine's coefficients of each lasso-family segment with lam > 0
+    must pass ``kkt_check`` at 1e-6 beyond the drift that the stopping
+    rule leaves: a coordinate is exactly stationary once updated, and the
+    rest of a last sweep, in which no coordinate moves more than
+    ``cd_tolerance``, shifts its correlation ``2 X_k'(y - X phi)`` by at
+    most ``2 cd_tolerance sum_{j != k} |X_j'X_k|`` (far below 1e-6 of the
+    scale at the default tolerance).  Each segment's RSS and penalty are
+    then recomputed from the rows of ``X`` and ``y`` at the reported
+    (clamped) coefficients, and a partition's total must match its search
+    total (from ``totals``, or the engine's where that is None) within
+    1e-9 relative.  Either failure raises ConsistencyError.
     """
     ranges = [segment_ranges(bp, dataset.n) for bp in partitions]
     pairs = np.array([(r.start, r.end) for rs in ranges for r in rs], dtype=np.int64)
-    costs, coefs, weights = _pair_costs(dataset, stats, pairs.reshape(-1, 2), config)
-    lasso = config.family == FAMILY_ADAPTIVE or config.gamma == 1.0
+    costs, coefs, w, fallback = _pair_costs(dataset, stats, pairs.reshape(-1, 2), config)
     out, m = [], 0
     for bp, rs, expected in zip(partitions, ranges, totals):
         fits = []
         for rng in rs:
             X, y = dataset.X[rng.start : rng.end], dataset.y[rng.start : rng.end]
             lam = config.lambda_scale * lambda_for_segment(rng, config.rho)
-            fits.append(solvers.wrap_coefficients(
-                X, y, coefs[m], lam, 1.0 if lasso or lam == 0.0 else config.gamma,
-                weights[m], 0.0 if lam == 0.0 else config.effective_zero_clamp,
-            ))
-            if lasso and lam > 0.0:
-                report = solvers.kkt_check(fits[-1], X, y, lam, weights[m], tolerance=1e-6)
-                if not report.passed:
+            weights = None if w is None or fallback[m] else w[m]
+            gamma, clamp = _report_rule(config, lam)
+            if lam > 0.0 and gamma == 1.0:  # a lasso-family fit
+                G = np.abs(X.T @ X)
+                drift = 2.0 * config.cd_tolerance * np.max(G.sum(axis=1) - np.diag(G))
+                report = solvers.kkt_check(coefs[m], X, y, lam, weights)
+                if not report.worst_violation <= report.tolerance + drift / report.scale:
                     raise ConsistencyError(
                         f"segment ({rng.start}, {rng.end}] of the chosen partition is "
                         f"not stationary: worst violation {report.worst_violation:.3e} "
                         f"at coordinate {report.worst_index}"
                     )
+            fits.append(solvers.wrap_coefficients(X, y, coefs[m], lam, gamma, weights, clamp))
             m += 1
         total = float(sum(f.penalized_cost for f in fits))
         if expected is None:
@@ -573,7 +591,7 @@ def _dense_fits(dataset: Dataset, ks, config: PenaltyConfig, min_seg_len: int) -
     the chosen segments of every K are solved in one stack."""
     stats = _cumulative_stats(dataset)
     i, j = np.triu_indices(dataset.n + 1, min_seg_len)
-    cost, _, _ = _pair_costs(dataset, stats, np.column_stack([i, j]), config)
+    cost = _pair_costs(dataset, stats, np.column_stack([i, j]), config)[0]
     found = {}
     for k in ks:
         try:
@@ -728,10 +746,10 @@ def refit_breakpoints_two_stage(
             lo = max(bounds[r - 1] + min_len, bounds[r] - grid_step)
             hi = min(bounds[r + 1] - min_len, bounds[r] + grid_step)
             ts = np.arange(lo, hi + 1)
-            costs, _, _ = _pair_costs(dataset, stats, np.concatenate([
+            costs = _pair_costs(dataset, stats, np.concatenate([
                 np.column_stack([np.full_like(ts, bounds[r - 1]), ts]),
                 np.column_stack([ts, np.full_like(ts, bounds[r + 1])]),
-            ]), config)
+            ]), config)[0]
             totals = costs[: len(ts)] + costs[len(ts) :]
             best = int(np.argmin(totals))  # the first position of least total
             if totals[best] < totals[bounds[r] - lo]:

@@ -40,8 +40,9 @@ from .model import (
 from .segmentation import (
     _check_feasible,
     optimal_breakpoints,
+    pair_costs,
     refit_breakpoints_two_stage,
-    segment_cost,
+    segment_cost,  # noqa: F401  (bound here for tracers)
 )
 from .selection import active_set_standard_errors, select_k
 
@@ -297,9 +298,10 @@ def _replicate(args) -> _RepOutcome:
             min_len = effective_min_seg_len(penalty, criterion, dataset.p)
             true_ranges = segment_ranges(truth.breakpoints, dataset.n)
             if all(r.length >= min_len for r in true_ranges):
-                truth_score = sum(
-                    segment_cost(dataset, r, penalty).penalized_cost for r in true_ranges
-                )
+                # scored by the engine that scored the search's segments
+                truth_score = float(pair_costs(
+                    dataset, [(r.start, r.end) for r in true_ranges], penalty
+                ).sum())
                 ok = fit.total_score <= truth_score * (1.0 + 1e-9) + 1e-9
                 if grid_step is None and not ok:
                     raise ConsistencyError(

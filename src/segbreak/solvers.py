@@ -12,10 +12,11 @@ segment length, and the tuning constant ``lam`` multiplies it directly.
 
 The lasso path has one loop, ``_batch_cd``: cyclic coordinate descent
 with exact soft-threshold updates in Gram form over a stack of problems,
-which ``lasso_cd`` runs on a stack of one.  An infinite weight pins its
-coordinate at exactly 0 and contributes nothing to the penalty value;
-this is how downstream code encodes coordinates whose least-squares
-estimate vanished.
+which ``lasso_cd`` runs on a stack of one and the concave bridge descent
+on every problem and start of a stack at once.  An infinite weight pins
+its coordinate at exactly 0 and contributes nothing to the penalty
+value; this is how downstream code encodes coordinates whose
+least-squares estimate vanished.
 """
 
 from __future__ import annotations
@@ -401,31 +402,51 @@ def _bridge_smooth(G, b, yy, lam, gamma, phi0, grad_tol):
     )
 
 
+def _bridge_starts(X, y, lam):
+    """Starts of the concave bridge descent: the ridge fit (the zero
+    vector where its system is singular) and the least-squares fit."""
+    try:
+        ridge_start = ridge(X, y, lam if lam > 0 else 1e-8)
+    except SingularSystemError:
+        ridge_start = np.zeros(X.shape[1])
+    lstsq_start, *_ = np.linalg.lstsq(X, y, rcond=None)
+    return ridge_start, lstsq_start
+
+
 def _bridge_lla(G, b, yy, lam, gamma, starts, tol, max_iter):
     """Local linear approximation for the concave penalties (gamma < 1).
 
+    Works on a stack of Gram-form problems (``G``, ``b``, ``yy`` and
+    ``lam`` hold one entry per problem) from each stack of ``starts``.
     Each pass replaces |phi_k|^gamma by its tangent at the current iterate
     and solves the resulting weighted lasso, which never increases the true
-    objective.  Runs from every start and keeps the best candidate; the
-    zero vector always competes, so the result is never worse than giving
-    up on the segment entirely.  The starts share one ``_batch_cd`` stack.
+    objective; a pass is one ``_batch_cd`` call over the problems not yet
+    settled.  Every problem keeps its best candidate; the zero vector
+    always competes, so the result is never worse than giving up on the
+    segment entirely.
     """
-    phi = np.array(starts, dtype=np.float64)
+    m = len(b)
+    phi = np.concatenate(starts).astype(np.float64)  # start r of problem i in row r * m + i
+    owner = np.tile(np.arange(m), len(starts))
     live = np.arange(len(phi))
     for _ in range(100):
-        with np.errstate(divide="ignore"):
+        at = owner[live]
+        with np.errstate(divide="ignore", invalid="ignore"):
             w = gamma * np.abs(phi[live]) ** (gamma - 1.0)  # inf at exact zeros: stays pinned
-        thr = lam * w / 2.0 if lam > 0 else np.zeros_like(w)
-        stack = np.repeat(G[None], len(live), axis=0), np.repeat(b[None], len(live), axis=0)
-        new, _ = _batch_cd(*stack, thr, tol, max_iter)
+            thr = np.where(lam[at, None] > 0, lam[at, None] * w / 2.0, 0.0)
+        new, _ = _batch_cd(G[at], b[at], thr, tol, max_iter)
         settled = np.max(np.abs(new - phi[live]), axis=1) <= max(tol, 1e-10)
         phi[live] = new
         live = live[~settled]
         if not live.size:
             break
-    candidates = [np.zeros(b.shape[0]), *phi]
-    values = [_bridge_objective(G, b, yy, lam, gamma, v) for v in candidates]
-    return candidates[int(np.argmin(values))]
+    runs = phi.reshape(len(starts), m, -1)
+    zero, out = np.zeros(b.shape[1]), np.empty_like(b)
+    for i in range(m):
+        candidates = [zero, *runs[:, i]]
+        values = [_bridge_objective(G[i], b[i], yy[i], lam[i], gamma, v) for v in candidates]
+        out[i] = candidates[int(np.argmin(values))]
+    return out
 
 
 def bridge(
@@ -457,14 +478,13 @@ def bridge(
     G = X.T @ X
     b = X.T @ y
     yy = float(y @ y)
-    try:
-        ridge_start = ridge(X, y, lam if lam > 0 else 1e-8)
-    except SingularSystemError:
-        ridge_start = np.zeros(X.shape[1])
+    ridge_start, lstsq_start = _bridge_starts(X, y, lam)
     if gamma > 1:
         scale = 1.0 + float(np.max(np.abs(b))) if b.size else 1.0
         phi = _bridge_smooth(G, b, yy, lam, gamma, ridge_start, 1e-6 * scale)
     else:
-        lstsq_start, *_ = np.linalg.lstsq(X, y, rcond=None)
-        phi = _bridge_lla(G, b, yy, lam, gamma, [ridge_start, lstsq_start], tol, max_iter)
+        phi = _bridge_lla(
+            G[None], b[None], np.array([yy]), np.array([lam]), gamma,
+            [ridge_start[None], lstsq_start[None]], tol, max_iter,
+        )[0]
     return wrap_coefficients(X, y, phi, lam, gamma, None, zero_clamp)

@@ -199,6 +199,12 @@ class TestFit:
         )
         assert code == 4
 
+    @pytest.mark.parametrize("tol", ["1e-2", "0.1"])
+    def test_loose_cd_tolerance_fits(self, capsys, data_file, tol):
+        code, out, _ = _run(capsys, ["fit", data_file, "--k", "1", "--cd-tol", tol])
+        assert code == 0
+        assert json.loads(out)["results"]["breakpoints"] == [30]
+
     def test_failed_consistency_check_exits_four(self, capsys, data_file, monkeypatch):
         def drifted(*args, **kwargs):
             raise ConsistencyError("segment refit total drifted")

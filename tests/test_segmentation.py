@@ -28,6 +28,7 @@ from segbreak import (
     segment_ranges,
 )
 from segbreak import solvers
+from segbreak.simulation import replication_dataset, table_preset
 from segbreak.solvers import _FACE_EVERY, _batch_cd, face_step
 
 
@@ -202,9 +203,10 @@ class TestPairCosts:
             PenaltyConfig(family="lasso_type", gamma=1.0, rho=0.5),
             PenaltyConfig(family="lasso_type", gamma=2.0, rho=0.45),
             PenaltyConfig(family="lasso_type", gamma=1.5, rho=0.45),
+            PenaltyConfig(family="lasso_type", gamma=0.5, rho=0.45),
             PenaltyConfig(family="adaptive", lambda_scale=0.0),
         ],
-        ids=["adaptive", "lasso", "ridge", "bridge", "unpenalized"],
+        ids=["adaptive", "lasso", "ridge", "bridge", "concave-bridge", "unpenalized"],
     )
     def test_matches_scalar_path(self, config):
         ds = _one_break(n=40, p=3, b=20, seed=21)
@@ -501,6 +503,38 @@ class TestChosenSegmentCheck:
             optimal_breakpoints(ds, 1, config)
         with pytest.raises(ConsistencyError, match="not stationary"):
             refit_breakpoints_two_stage(ds, 1, config, grid_step=5)
+
+    def test_check_runs_before_the_zero_clamp(self):
+        # orthogonal columns of norm s: the lasso minimizer is
+        # S(X_k'y, lam / 2) / s^2, so coordinate 1 lands at 5e-7, under a
+        # zero clamp of 1e-6.  The clamped vector is not stationary at 1e-6;
+        # the engine's is, and the fit reports the clamped one.
+        n, p, s = 40, 3, 10.0
+        Q, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((n, p + 1)))
+        config = PenaltyConfig(family="lasso_type", gamma=1.0, zero_clamp=1e-6)
+        lam = lambda_for_segment((0, n), config.rho)
+        z = np.array([30.0, lam / 2.0 + s * s * 5e-7, -20.0])
+        ds = Dataset(y=Q[:, :p] @ (z / s) + 0.5 * Q[:, p], X=s * Q[:, :p])
+        (seg,) = optimal_breakpoints(ds, 0, config).segment_fits
+        assert seg.coefficients[1] == 0.0
+        assert seg.active_set == frozenset({0, 2})
+        assert not solvers.kkt_check(seg, ds.X, ds.y, lam).passed
+        (seg,) = refit_breakpoints_two_stage(ds, 0, config, grid_step=5).segment_fits
+        assert seg.coefficients[1] == 0.0
+
+    @pytest.mark.parametrize("tol", [1e-2, 0.1, 0.5])
+    @pytest.mark.parametrize(
+        "family", ["adaptive", "lasso_type"], ids=["adaptive", "lasso"]
+    )
+    def test_loose_cd_tolerance_passes(self, family, tol):
+        # a loose stopping rule leaves each coordinate's correlation off
+        # stationarity by what the later updates of its last sweep moved
+        # it; the check allows exactly that drift
+        spec, _ = table_preset(1)
+        ds = replication_dataset(spec, 0)
+        config = PenaltyConfig(family=family, gamma=1.0, cd_tolerance=tol)
+        assert optimal_breakpoints(ds, 2, config).breakpoints == (20, 35)
+        assert refit_breakpoints_two_stage(ds, 2, config, grid_step=5).breakpoints == (20, 35)
 
 
 class TestTwoStage:
