@@ -10,13 +10,13 @@ smallest breakpoint vector.
 Every segment cost a search compares comes from one vectorized engine,
 ``pair_costs``, that works on cumulative sufficient statistics (running
 X'X, X'y, y'y), so each candidate segment costs O(p^2) regardless of its
-length.  It runs ``solvers._batch_cd`` on a whole stack of segment
-problems at once, under the rules of the single-segment solver
-``segment_cost`` (the tests' reference) for adaptive-weight fallback and
-for problems that use the whole sweep budget; only the smooth bridge
-exponents (gamma > 1 other than 2) are solved one segment at a time.
-The reported fits of the chosen segments come from the same engine,
-checked against the rows (``_assemble_fits``).  ``select_k`` solves
+length.  ``_chunk_costs`` is the one place that solves each penalty
+family: ``solvers._batch_cd`` on a whole stack of segment problems at
+once for the lasso family, the ridge closed form, the batched concave
+bridge, and the smooth bridge exponents (gamma > 1 other than 2) one
+problem at a time.  The reported fits of the chosen segments come from
+the same engine, checked against the rows (``_report_fit``), and so does
+``segment_cost``, which runs it on a stack of one.  ``select_k`` solves
 every admissible segment once for all K.  A single K-break search
 (``optimal_breakpoints`` over every sample position, the coarse grid of
 the approximate ``refit_breakpoints_two_stage``) instead keeps a list of
@@ -102,54 +102,62 @@ def adaptive_weights(dataset: Dataset, rng, g: float) -> np.ndarray:
         return np.abs(phi_ls) ** (-g)
 
 
-def _report_rule(config: PenaltyConfig, lam: float):
-    """Penalty exponent and zero clamp of a reported segment fit whose
-    tuning constant is ``lam``.  The exponent is 1 for the lasso family
-    (adaptive, or gamma = 1) and for a least-squares fit (lam = 0), which
-    is reported unclamped."""
-    if lam == 0.0:
-        return 1.0, 0.0
-    gamma = 1.0 if config.family == FAMILY_ADAPTIVE else config.gamma
-    return gamma, config.effective_zero_clamp
-
-
 def segment_cost(dataset: Dataset, rng, config: PenaltyConfig):
     """Fit one segment under the configured penalty and return its SegmentFit.
 
-    The tuning constant is ``config.lambda_scale * (length)**rho``.  When it
-    is zero the segment is fitted by plain least squares.  An adaptive fit
-    whose weights are unavailable falls back to the unweighted lasso and
-    reports ``weights_used`` as None.
+    The tuning constant is ``config.lambda_scale * (length)**rho``.  The
+    fit is the cost engine's on a stack of one (see ``pair_costs``), whose
+    Gram-form problem is built from the segment's rows, and it is reported
+    as the fits of a search's chosen segments are.  When the tuning
+    constant is zero the segment is fitted by least squares (the
+    minimum-norm solution where the segment is shorter than p or its Gram
+    matrix is singular).  An adaptive fit whose weights are unavailable
+    falls back to the unweighted lasso and reports ``weights_used`` as None.
     """
     rng = _as_range(rng)
     if rng.end > dataset.n:
         raise EmptySegmentError(f"segment end {rng.end} exceeds n={dataset.n}")
     X = dataset.X[rng.start : rng.end]
     y = dataset.y[rng.start : rng.end]
+    pairs = np.array([[rng.start, rng.end]], dtype=np.int64)
+    _, coefs, w, fallback = _chunk_costs(
+        dataset, pairs, (X.T @ X)[None], (X.T @ y)[None], np.array([y @ y]), config
+    )
+    weights = None if fallback is None or fallback[0] else w[0]
+    return _report_fit(dataset, rng, coefs[0], weights, config)
+
+
+def _report_fit(dataset: Dataset, rng: SegmentRange, phi, weights, config: PenaltyConfig):
+    """SegmentFit of the engine's coefficients ``phi`` for the segment
+    ``rng``, as every fit is reported.
+
+    A lasso-family fit (adaptive, or gamma = 1) with lam > 0 must first
+    pass ``kkt_check`` at 1e-6 beyond the drift that the stopping rule
+    leaves: a coordinate is exactly stationary once updated, and the rest
+    of a last sweep, in which no coordinate moves more than
+    ``cd_tolerance``, shifts its correlation ``2 X_k'(y - X phi)`` by at
+    most ``2 cd_tolerance sum_{j != k} |X_j'X_k|`` (far below 1e-6 of the
+    scale at the default tolerance); otherwise ConsistencyError is raised.
+    ``solvers.wrap_coefficients`` then applies the zero clamp and
+    recomputes the RSS and penalty from the rows of ``X`` and ``y``.  A
+    least-squares fit (lam = 0) is reported with exponent 1 and unclamped.
+    """
+    X, y = dataset.X[rng.start : rng.end], dataset.y[rng.start : rng.end]
     lam = config.lambda_scale * lambda_for_segment(rng, config.rho)
-    gamma, clamp = _report_rule(config, lam)
-    cd = dict(tol=config.cd_tolerance, max_iter=config.cd_max_iterations, zero_clamp=clamp)
-
     if lam == 0.0:
-        try:
-            phi = solvers.ols(X, y)
-        except (UnderdeterminedError, SingularGramError):
-            return solvers.lasso_cd(X, y, 0.0, **cd)
-        return solvers.wrap_coefficients(X, y, phi, 0.0, gamma, None, clamp)
-
-    if config.family == FAMILY_ADAPTIVE:
-        try:
-            weights = adaptive_weights(dataset, rng, config.g)
-        except AdaptiveUnavailableError:
-            if not config.adaptive_fallback:
-                raise
-            weights = None  # unweighted fallback
-        return solvers.lasso_cd(X, y, lam, weights=weights, **cd)
+        return solvers.wrap_coefficients(X, y, phi, 0.0)
+    gamma = 1.0 if config.family == FAMILY_ADAPTIVE else config.gamma
     if gamma == 1.0:
-        return solvers.lasso_cd(X, y, lam, **cd)
-    if gamma == 2.0:
-        return solvers.wrap_coefficients(X, y, solvers.ridge(X, y, lam), lam, gamma, None, clamp)
-    return solvers.bridge(X, y, lam, gamma, **cd)
+        G = np.abs(X.T @ X)
+        drift = 2.0 * config.cd_tolerance * np.max(G.sum(axis=1) - np.diag(G))
+        report = solvers.kkt_check(phi, X, y, lam, weights)
+        if not report.worst_violation <= report.tolerance + drift / report.scale:
+            raise ConsistencyError(
+                f"segment ({rng.start}, {rng.end}] is not stationary: worst "
+                f"violation {report.worst_violation:.3e} at coordinate "
+                f"{report.worst_index}"
+            )
+    return solvers.wrap_coefficients(X, y, phi, lam, gamma, weights, config.effective_zero_clamp)
 
 
 # ---------------------------------------------------------------------------
@@ -204,9 +212,11 @@ def pair_costs(dataset: Dataset, pairs, config: PenaltyConfig) -> np.ndarray:
     """Penalized minimum cost for each half-open segment in ``pairs``.
 
     ``pairs`` is an integer array of shape (M, 2) of (start, end) bounds.
-    Matches ``segment_cost(...).penalized_cost`` within floating error for
-    every admissible pair, and raises AdaptiveUnavailableError where it
-    does: for an adaptive segment without least-squares weights when
+    Every family is solved in ``_chunk_costs``, a chunk of segments at a
+    time (the smooth bridge one segment at a time within it), so each
+    cost matches ``segment_cost(...).penalized_cost`` within the rounding
+    of the cumulative sums.  Raises AdaptiveUnavailableError for an
+    adaptive segment without least-squares weights when
     ``config.adaptive_fallback`` is off.
     """
     pairs = np.asarray(pairs, dtype=np.int64)
@@ -229,13 +239,6 @@ def _pair_costs(dataset: Dataset, stats, pairs: np.ndarray, config: PenaltyConfi
     """
     costs = np.empty(len(pairs))
     coefs = np.empty((len(pairs), dataset.p))
-    if config.family != FAMILY_ADAPTIVE and config.gamma > 1.0 and config.gamma != 2.0:
-        # the smooth bridge exponents have no vectorized path
-        for i, (a, bnd) in enumerate(pairs):
-            fit = segment_cost(dataset, (int(a), int(bnd)), config)
-            costs[i], coefs[i] = fit.penalized_cost, fit.coefficients
-        return costs, coefs, None, None
-
     weighted = config.family == FAMILY_ADAPTIVE and config.lambda_scale > 0.0
     w = np.empty((len(pairs), dataset.p)) if weighted else None
     fallback = np.empty(len(pairs), dtype=bool) if weighted else None
@@ -246,25 +249,38 @@ def _pair_costs(dataset: Dataset, stats, pairs: np.ndarray, config: PenaltyConfi
     return costs, coefs, w, fallback
 
 
-def _gram_rss(G, b, yy, phi):
-    """Residual sum of squares ``yy - 2 b'phi + phi'G phi`` of each
-    Gram-form problem in a stack, floored at 0."""
-    return np.maximum(
-        yy - 2.0 * np.einsum("ij,ij->i", b, phi)
-        + np.einsum("ij,ijk,ik->i", phi, G, phi),
-        0.0,
-    )
-
-
 def _chunk_costs(dataset, pairs, G, b, yy, config):
-    """``_pair_costs`` of one chunk of Gram-form segment problems."""
+    """``_pair_costs`` of one chunk of Gram-form segment problems: the one
+    place that solves each penalty family."""
     p = b.shape[1]
     if config.lambda_scale == 0.0:
         phi = np.einsum("ijk,ik->ij", np.linalg.pinv(G, hermitian=True), b)
-        return _gram_rss(G, b, yy, phi), phi, None, None
+        return solvers.gram_objective(G, b, yy, 0.0, phi), phi, None, None
 
     lengths = pairs[:, 1] - pairs[:, 0]
     lam = config.lambda_scale * lengths.astype(np.float64) ** config.rho
+    gamma = 1.0 if config.family == FAMILY_ADAPTIVE else config.gamma
+    if gamma != 1.0:
+        if gamma < 1.0:
+            X, y = dataset.X, dataset.y
+            starts = zip(*(
+                solvers._bridge_starts(X[a:bnd], y[a:bnd], lam_i)
+                for (a, bnd), lam_i in zip(pairs, lam)
+            ))
+            phi = solvers._bridge_lla(
+                G, b, yy, lam, gamma, [np.array(s) for s in starts],
+                config.cd_tolerance, config.cd_max_iterations,
+            )
+        else:
+            # ridge in closed form, which starts the smooth bridge
+            phi = np.linalg.solve(G + lam[:, None, None] * np.eye(p), b[..., None])[..., 0]
+            for i in range(len(phi)) if gamma != 2.0 else ():
+                phi[i] = solvers._bridge_smooth(G[i], b[i], yy[i], lam[i], gamma, phi[i])
+        if gamma != 2.0:
+            # the reported bridge fit is clamped, and so is its cost
+            phi[np.abs(phi) <= config.effective_zero_clamp] = 0.0
+        return solvers.gram_objective(G, b, yy, lam, phi, gamma), phi, None, None
+
     fallback = None
     if config.family == FAMILY_ADAPTIVE:
         w, fallback = _batch_adaptive_weights(G, b, lengths, p, config.g)
@@ -274,27 +290,8 @@ def _chunk_costs(dataset, pairs, G, b, yy, config):
                 f"segment ({a}, {bnd}] has no least-squares weights: it is "
                 f"shorter than p={p} or its Gram matrix is singular"
             )
-    elif config.gamma == 2.0:
-        A = G + lam[:, None, None] * np.eye(p)
-        phi = np.linalg.solve(A, b[..., None])[..., 0]
-        return _gram_rss(G, b, yy, phi) + lam * np.einsum("ij,ij->i", phi, phi), phi, None, None
-    elif config.gamma < 1.0:
-        X, y = dataset.X, dataset.y
-        starts = zip(*(
-            solvers._bridge_starts(X[a:bnd], y[a:bnd], lam_i)
-            for (a, bnd), lam_i in zip(pairs, lam)
-        ))
-        phi = solvers._bridge_lla(
-            G, b, yy, lam, config.gamma, [np.array(s) for s in starts],
-            config.cd_tolerance, config.cd_max_iterations,
-        )
-        # the reported fit is clamped (solvers.bridge), and so is its cost
-        phi[np.abs(phi) <= config.effective_zero_clamp] = 0.0
-        penalty = lam * (np.abs(phi) ** config.gamma).sum(axis=1)
-        return _gram_rss(G, b, yy, phi) + penalty, phi, None, None
     else:
         w = np.ones((b.shape[0], p))
-
     thr = lam[:, None] * w / 2.0
     phi, stalled = solvers._batch_cd(G, b, thr, config.cd_tolerance, config.cd_max_iterations)
     # a problem that used the whole sweep budget keeps its cost only if its
@@ -305,8 +302,7 @@ def _chunk_costs(dataset, pairs, G, b, yy, config):
             phi[i], dataset.X[a:bnd], dataset.y[a:bnd], lam[i], w[i],
             config.cd_max_iterations,
         )
-    costs = _gram_rss(G, b, yy, phi) + lam * solvers._l1_terms(w, phi).sum(axis=1)
-    return costs, phi, w, fallback
+    return solvers.gram_objective(G, b, yy, lam, phi, weights=w), phi, w, fallback
 
 
 def build_cost_table(
@@ -535,17 +531,12 @@ def _assemble_fits(dataset: Dataset, stats, partitions, config: PenaltyConfig, t
     """Fits of the breakpoint vectors in ``partitions``, whose segments are
     solved in one engine call.
 
-    The engine's coefficients of each lasso-family segment with lam > 0
-    must pass ``kkt_check`` at 1e-6 beyond the drift that the stopping
-    rule leaves: a coordinate is exactly stationary once updated, and the
-    rest of a last sweep, in which no coordinate moves more than
-    ``cd_tolerance``, shifts its correlation ``2 X_k'(y - X phi)`` by at
-    most ``2 cd_tolerance sum_{j != k} |X_j'X_k|`` (far below 1e-6 of the
-    scale at the default tolerance).  Each segment's RSS and penalty are
-    then recomputed from the rows of ``X`` and ``y`` at the reported
-    (clamped) coefficients, and a partition's total must match its search
-    total (from ``totals``, or the engine's where that is None) within
-    1e-9 relative.  Either failure raises ConsistencyError.
+    Each segment is reported by ``_report_fit``, which checks a
+    lasso-family fit for stationarity and recomputes its RSS and penalty
+    from the rows of ``X`` and ``y`` at the reported (clamped)
+    coefficients.  A partition's total must then match its search total
+    (from ``totals``, or the engine's where that is None) within 1e-9
+    relative.  Either failure raises ConsistencyError.
     """
     ranges = [segment_ranges(bp, dataset.n) for bp in partitions]
     pairs = np.array([(r.start, r.end) for rs in ranges for r in rs], dtype=np.int64)
@@ -554,21 +545,8 @@ def _assemble_fits(dataset: Dataset, stats, partitions, config: PenaltyConfig, t
     for bp, rs, expected in zip(partitions, ranges, totals):
         fits = []
         for rng in rs:
-            X, y = dataset.X[rng.start : rng.end], dataset.y[rng.start : rng.end]
-            lam = config.lambda_scale * lambda_for_segment(rng, config.rho)
-            weights = None if w is None or fallback[m] else w[m]
-            gamma, clamp = _report_rule(config, lam)
-            if lam > 0.0 and gamma == 1.0:  # a lasso-family fit
-                G = np.abs(X.T @ X)
-                drift = 2.0 * config.cd_tolerance * np.max(G.sum(axis=1) - np.diag(G))
-                report = solvers.kkt_check(coefs[m], X, y, lam, weights)
-                if not report.worst_violation <= report.tolerance + drift / report.scale:
-                    raise ConsistencyError(
-                        f"segment ({rng.start}, {rng.end}] of the chosen partition is "
-                        f"not stationary: worst violation {report.worst_violation:.3e} "
-                        f"at coordinate {report.worst_index}"
-                    )
-            fits.append(solvers.wrap_coefficients(X, y, coefs[m], lam, gamma, weights, clamp))
+            weights = None if fallback is None or fallback[m] else w[m]
+            fits.append(_report_fit(dataset, rng, coefs[m], weights, config))
             m += 1
         total = float(sum(f.penalized_cost for f in fits))
         if expected is None:

@@ -13,10 +13,12 @@ segment length, and the tuning constant ``lam`` multiplies it directly.
 The lasso path has one loop, ``_batch_cd``: cyclic coordinate descent
 with exact soft-threshold updates in Gram form over a stack of problems,
 which ``lasso_cd`` runs on a stack of one and the concave bridge descent
-on every problem and start of a stack at once.  An infinite weight pins
-its coordinate at exactly 0 and contributes nothing to the penalty
-value; this is how downstream code encodes coordinates whose
-least-squares estimate vanished.
+on every problem and start of a stack at once.  The smooth bridge
+exponents (gamma > 1) are solved one Gram-form problem at a time by
+L-BFGS-B, and only they import ``scipy``.  Every Gram-form cost is
+``gram_objective``.  An infinite weight pins its coordinate at exactly 0
+and contributes nothing to the penalty value; this is how downstream
+code encodes coordinates whose least-squares estimate vanished.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import (
     NoConvergenceError,
@@ -54,6 +55,23 @@ def _l1_terms(w, phi):
     """Terms ``w * |phi|``, elementwise, with 0 wherever ``phi`` is 0: an
     infinite weight on an exactly zero coefficient contributes nothing."""
     return np.where(phi == 0.0, 0.0, w) * np.abs(phi)
+
+
+def gram_objective(G, b, yy, lam, phi, gamma=1.0, weights=None):
+    """Penalized objective of each Gram-form problem of a stack (``G``,
+    ``b``, ``yy`` = X'X, X'y, y'y per problem; ``lam`` a scalar or one
+    value per problem): ``yy - 2 b'phi + phi'G phi``, floored at 0, plus
+    ``lam`` times ``sum_k w_k |phi_k|`` when ``weights`` are given and
+    ``sum_k |phi_k|^gamma`` otherwise.  ``phi`` may carry leading axes of
+    candidates.
+    """
+    rss = yy - 2.0 * np.einsum("ij,...ij->...i", b, phi)
+    rss += np.einsum("...ij,ijk,...ik->...i", phi, G, phi)
+    if weights is None:
+        penalty = (np.abs(phi) ** gamma).sum(axis=-1)
+    else:
+        penalty = _l1_terms(weights, phi).sum(axis=-1)
+    return np.maximum(rss, 0.0) + lam * penalty
 
 
 def penalized_objective(
@@ -369,16 +387,16 @@ def lasso_cd(
     return wrap_coefficients(X, y, phi[0], lam, 1.0, weights, zero_clamp)
 
 
-def _bridge_objective(G, b, yy, lam, gamma, phi):
-    """Bridge objective in Gram form: ``yy - 2 b'phi + phi'G phi + lam sum |phi|^gamma``."""
-    return float(yy - 2.0 * (b @ phi) + phi @ G @ phi + lam * np.sum(np.abs(phi) ** gamma))
+def _bridge_smooth(G, b, yy, lam, gamma, phi0):
+    """Descent for the differentiable bridge penalties (gamma > 1) on one
+    Gram-form problem, from ``phi0``, to gradient sup-norm at most
+    1e-6 * (1 + max_k |b_k|)."""
+    from scipy.optimize import minimize  # only this family needs scipy
 
-
-def _bridge_smooth(G, b, yy, lam, gamma, phi0, grad_tol):
-    """Descent for the differentiable bridge penalties (gamma > 1)."""
+    grad_tol = 1e-6 * (1.0 + float(np.max(np.abs(b))))
 
     def fun(phi):
-        return _bridge_objective(G, b, yy, lam, gamma, phi)
+        return float(gram_objective(G[None], b[None], yy, lam, phi[None], gamma)[0])
 
     def jac(phi):
         a = np.abs(phi)
@@ -440,13 +458,9 @@ def _bridge_lla(G, b, yy, lam, gamma, starts, tol, max_iter):
         live = live[~settled]
         if not live.size:
             break
-    runs = phi.reshape(len(starts), m, -1)
-    zero, out = np.zeros(b.shape[1]), np.empty_like(b)
-    for i in range(m):
-        candidates = [zero, *runs[:, i]]
-        values = [_bridge_objective(G[i], b[i], yy[i], lam[i], gamma, v) for v in candidates]
-        out[i] = candidates[int(np.argmin(values))]
-    return out
+    candidates = np.concatenate([np.zeros((1, *b.shape)), phi.reshape(len(starts), *b.shape)])
+    best = np.argmin(gram_objective(G, b, yy, lam, candidates, gamma), axis=0)
+    return candidates[best, np.arange(m)]
 
 
 def bridge(
@@ -480,8 +494,7 @@ def bridge(
     yy = float(y @ y)
     ridge_start, lstsq_start = _bridge_starts(X, y, lam)
     if gamma > 1:
-        scale = 1.0 + float(np.max(np.abs(b))) if b.size else 1.0
-        phi = _bridge_smooth(G, b, yy, lam, gamma, ridge_start, 1e-6 * scale)
+        phi = _bridge_smooth(G, b, yy, lam, gamma, ridge_start)
     else:
         phi = _bridge_lla(
             G[None], b[None], np.array([yy]), np.array([lam]), gamma,

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from segbreak import ConsistencyError, cli
+from segbreak import ConsistencyError, PenaltyConfig, SegmentRange, cli, segment_cost
 from segbreak.cli import SCHEMA_VERSION, main
 from segbreak.simulation import generate_scenario, one_break_spec, write_dataset
 
@@ -204,6 +204,23 @@ class TestFit:
         code, out, _ = _run(capsys, ["fit", data_file, "--k", "1", "--cd-tol", tol])
         assert code == 0
         assert json.loads(out)["results"]["breakpoints"] == [30]
+
+    @pytest.mark.parametrize(
+        "flags, gamma",
+        [(["--family", "bridge", "--gamma", "1.5"], 1.5),
+         (["--family", "bridge", "--gamma", "0.5"], 0.5),
+         (["--family", "lasso"], 1.0)],
+        ids=["bridge-1.5", "bridge-0.5", "lasso"],
+    )
+    def test_segments_cost_what_segment_cost_gives(self, capsys, data_file, flags, gamma):
+        code, out, _ = _run(capsys, ["fit", data_file, "--k", "1", *flags])
+        assert code == 0
+        ds = generate_scenario(one_break_spec(n=60, breakpoint=30, seed=0))
+        config = PenaltyConfig(family="lasso_type", gamma=gamma, rho=0.45)
+        for seg in json.loads(out)["results"]["segments"]:
+            rng = SegmentRange(seg["first_sample"] - 1, seg["last_sample"])
+            want = segment_cost(ds, rng, config).penalized_cost
+            assert seg["penalized_cost"] == pytest.approx(want, rel=1e-9)
 
     def test_failed_consistency_check_exits_four(self, capsys, data_file, monkeypatch):
         def drifted(*args, **kwargs):

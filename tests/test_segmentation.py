@@ -195,32 +195,37 @@ class TestSegmentCost:
             segment_cost(ds, (10, 25), PenaltyConfig())
 
 
+_EVERY_FAMILY = pytest.mark.parametrize(
+    "config",
+    [
+        PenaltyConfig(family="adaptive", g=0.2, rho=0.45),
+        PenaltyConfig(family="lasso_type", gamma=1.0, rho=0.5),
+        PenaltyConfig(family="lasso_type", gamma=2.0, rho=0.45),
+        PenaltyConfig(family="lasso_type", gamma=1.5, rho=0.45),
+        PenaltyConfig(family="lasso_type", gamma=0.5, rho=0.45),
+        PenaltyConfig(family="adaptive", lambda_scale=0.0),
+    ],
+    ids=["adaptive", "lasso", "ridge", "bridge", "concave-bridge", "unpenalized"],
+)
+
+
 class TestPairCosts:
-    @pytest.mark.parametrize(
-        "config",
-        [
-            PenaltyConfig(family="adaptive", g=0.2, rho=0.45),
-            PenaltyConfig(family="lasso_type", gamma=1.0, rho=0.5),
-            PenaltyConfig(family="lasso_type", gamma=2.0, rho=0.45),
-            PenaltyConfig(family="lasso_type", gamma=1.5, rho=0.45),
-            PenaltyConfig(family="lasso_type", gamma=0.5, rho=0.45),
-            PenaltyConfig(family="adaptive", lambda_scale=0.0),
-        ],
-        ids=["adaptive", "lasso", "ridge", "bridge", "concave-bridge", "unpenalized"],
-    )
+    @_EVERY_FAMILY
     def test_matches_scalar_path(self, config):
         ds = _one_break(n=40, p=3, b=20, seed=21)
         pairs = [(0, 10), (0, 40), (5, 25), (20, 40), (12, 19)]
         batch = pair_costs(ds, np.array(pairs), config)
         for cost, pair in zip(batch, pairs):
-            scalar = segment_cost(ds, pair, config).penalized_cost
+            scalar = _reference_fit(ds, pair, config).penalized_cost
             assert cost == pytest.approx(scalar, rel=1e-9, abs=1e-9)
+            single = segment_cost(ds, pair, config).penalized_cost
+            assert single == pytest.approx(scalar, rel=1e-9, abs=1e-9)
 
     @pytest.mark.parametrize("noise", [1e-7, 1e-6])
     def test_matches_scalar_path_on_collinear_design(self, noise):
         # x3 = x1 + noise: the Gram matrix of segment (24, 38] is below the
-        # condition floor of solvers.ols, so both paths must fall back to
-        # the unweighted lasso
+        # condition floor of solvers.ols, so the engine must fall back to
+        # the unweighted lasso, as the row-based reference does
         rng = np.random.default_rng(0)
         X = rng.standard_normal((60, 3))
         X[:, 2] = X[:, 0] + noise * rng.standard_normal(60)
@@ -228,10 +233,13 @@ class TestPairCosts:
         y[30:] += X[30:] @ np.array([2.0, 1.0, 0.0])
         ds = Dataset(y=y, X=X)
         config = PenaltyConfig()
-        scalar = segment_cost(ds, (24, 38), config)
+        scalar = _reference_fit(ds, (24, 38), config)
         assert scalar.weights_used is None
         batch = pair_costs(ds, np.array([[24, 38]]), config)[0]
         assert batch == pytest.approx(scalar.penalized_cost, rel=1e-9)
+        single = segment_cost(ds, (24, 38), config)
+        assert single.weights_used is None
+        assert single.penalized_cost == pytest.approx(scalar.penalized_cost, rel=1e-9)
 
     def test_sweep_budget_keeps_stationary_iterate(self):
         # orthonormal columns: one sweep lands on the closed-form minimizer,
@@ -295,10 +303,13 @@ class TestPairCosts:
 
     def test_fallback_matches_scalar_path(self):
         ds = self._zero_column_in_first_half()
-        scalar = segment_cost(ds, (0, 20), PenaltyConfig())
+        scalar = _reference_fit(ds, (0, 20), PenaltyConfig())
         assert scalar.weights_used is None
         batch = pair_costs(ds, np.array([[0, 20]]), PenaltyConfig())[0]
         assert batch == pytest.approx(scalar.penalized_cost, rel=1e-9)
+        single = segment_cost(ds, (0, 20), PenaltyConfig())
+        assert single.weights_used is None
+        assert single.penalized_cost == pytest.approx(scalar.penalized_cost, rel=1e-9)
 
     def test_rejects_bad_pairs(self):
         ds = _one_break(n=20)
@@ -366,6 +377,39 @@ def _cd_oracle(G, b, lam, weights, tol, max_iter):
     return phi, False
 
 
+def _reference_fit(ds, rng, config):
+    """Row-based fit of one segment under the engine's rules, from the
+    public single-problem solvers: ``ols`` at lam = 0, ``_cd_oracle`` for
+    the lasso family (with ``adaptive_weights``, or none where they are
+    unavailable), ``ridge`` and ``bridge``."""
+    rng = rng if isinstance(rng, SegmentRange) else SegmentRange(*rng)
+    X, y = ds.X[rng.start : rng.end], ds.y[rng.start : rng.end]
+    lam = config.lambda_scale * lambda_for_segment(rng, config.rho)
+    clamp = config.effective_zero_clamp
+    if lam == 0.0:
+        return solvers.wrap_coefficients(X, y, solvers.ols(X, y), 0.0)
+    if config.family == "adaptive" or config.gamma == 1.0:
+        weights = None
+        if config.family == "adaptive":
+            try:
+                weights = adaptive_weights(ds, rng, config.g)
+            except AdaptiveUnavailableError:
+                if not config.adaptive_fallback:
+                    raise
+        w = np.ones(ds.p) if weights is None else weights
+        phi, converged = _cd_oracle(
+            X.T @ X, X.T @ y, lam, w, config.cd_tolerance, config.cd_max_iterations
+        )
+        assert converged
+        return solvers.wrap_coefficients(X, y, phi, lam, 1.0, weights, clamp)
+    if config.gamma == 2.0:
+        return solvers.wrap_coefficients(X, y, solvers.ridge(X, y, lam), lam, 2.0, None, clamp)
+    return solvers.bridge(
+        X, y, lam, config.gamma, tol=config.cd_tolerance,
+        max_iter=config.cd_max_iterations, zero_clamp=clamp,
+    )
+
+
 class TestBatchCoordinateDescent:
     @pytest.mark.parametrize("max_iter", [10_000, 10, 8])
     def test_matches_scalar_solver_per_problem(self, max_iter):
@@ -399,6 +443,44 @@ class TestBatchCoordinateDescent:
         assert phi.shape == (0, 10) and stalled.shape == (0,)
 
 
+def _assert_same_fit(got, want):
+    scale = max(1.0, np.abs(want.coefficients).max())
+    np.testing.assert_allclose(got.coefficients, want.coefficients, rtol=0.0, atol=1e-9 * scale)
+    assert got.penalized_cost == pytest.approx(want.penalized_cost, rel=1e-9, abs=1e-9)
+    assert got.active_set == want.active_set
+
+
+class TestSegmentCostMatchesSearch:
+    """``segment_cost`` is the engine on one segment, reported as a
+    search reports its chosen segments, so the two fits agree."""
+
+    @_EVERY_FAMILY
+    def test_chosen_segments(self, config):
+        ds = _one_break(n=40, p=3, b=20, seed=21)
+        for fit in (
+            optimal_breakpoints(ds, 1, config),
+            refit_breakpoints_two_stage(ds, 1, config, grid_step=5),
+        ):
+            for rng, seg in zip(segment_ranges(fit.breakpoints, ds.n), fit.segment_fits):
+                _assert_same_fit(segment_cost(ds, rng, config), seg)
+
+    def test_unpenalized_segment_shorter_than_p(self):
+        # without a penalty a segment of 3 rows and 5 coefficients has many
+        # exact fits; both report the minimum-norm one
+        rng = np.random.default_rng(1)
+        X = rng.standard_normal((12, 5))
+        ds = Dataset(y=rng.standard_normal(12), X=X)
+        config = PenaltyConfig(lambda_scale=0.0)
+        fit = optimal_breakpoints(ds, 3, config, CriterionConfig(min_seg_len=3))
+        assert fit.breakpoints == (3, 6, 9)
+        for rng, seg in zip(segment_ranges(fit.breakpoints, ds.n), fit.segment_fits):
+            single = segment_cost(ds, rng, config)
+            _assert_same_fit(single, seg)
+            rows = slice(rng.start, rng.end)
+            min_norm = np.linalg.pinv(X[rows]) @ ds.y[rows]
+            np.testing.assert_allclose(single.coefficients, min_norm, rtol=0.0, atol=1e-9)
+
+
 class TestCostTable:
     def test_inadmissible_entries_are_infinite(self):
         ds = _one_break(n=20, p=2, b=10, seed=25)
@@ -407,7 +489,7 @@ class TestCostTable:
         assert table[0, 4] == np.inf
         assert np.isfinite(table[0, 5])
         assert table[3, 3] == np.inf
-        whole = segment_cost(ds, (0, 20), config).penalized_cost
+        whole = _reference_fit(ds, (0, 20), config).penalized_cost
         assert table[0, 20] == pytest.approx(whole, rel=1e-9)
 
 
@@ -423,7 +505,7 @@ class TestDynamicProgram:
             if min(b1, b2 - b1, 18 - b2) < 3:
                 continue
             total = sum(
-                segment_cost(ds, r, config).penalized_cost
+                _reference_fit(ds, r, config).penalized_cost
                 for r in segment_ranges((b1, b2), 18)
             )
             if total < best[0] - 1e-12:

@@ -1,7 +1,14 @@
 """Per-segment solvers: closed forms, independent oracles, optimality checks."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import segbreak
 
 from segbreak import (
     KktReport,
@@ -18,7 +25,7 @@ from segbreak import (
     ridge,
     wrap_coefficients,
 )
-from segbreak.solvers import _batch_cd, _gram_scores, face_step, face_steps
+from segbreak.solvers import _batch_cd, _gram_scores, face_step, face_steps, gram_objective
 
 
 def _problem(m=50, p=5, seed=1, sigma=0.5):
@@ -436,6 +443,38 @@ class TestBridge:
         X, y, _ = _problem(m=50, p=5, seed=101)
         fit = bridge(X, y, 1.0, 3.0)
         assert np.all((fit.coefficients == 0.0) | (np.abs(fit.coefficients) > 1e-10))
+
+
+    def test_scipy_loads_only_for_the_smooth_bridge(self):
+        code = (
+            "import sys, numpy as np, segbreak\n"
+            "print('scipy.optimize' in sys.modules)\n"
+            "X = np.eye(3)\n"
+            "segbreak.bridge(X, np.ones(3), 1.0, 0.5)\n"
+            "print('scipy.optimize' in sys.modules)\n"
+            "segbreak.bridge(X, np.ones(3), 1.0, 1.5)\n"
+            "print('scipy.optimize' in sys.modules)\n"
+        )
+        src = str(Path(segbreak.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        ).stdout.split()
+        assert out == ["False", "False", "True"]
+
+
+class TestGramObjective:
+    def test_matches_row_objective(self):
+        X, y, phi0 = _problem(m=30, p=5, seed=107)
+        G, b, yy = (X.T @ X)[None], (X.T @ y)[None], np.array([y @ y])
+        w = np.array([1.0, np.inf, 0.5, 2.0, 1.0])
+        for phi, gamma, weights in (
+            (phi0, 1.0, w), (phi0 + 0.1, 1.0, None), (phi0, 0.5, None), (phi0, 2.0, None),
+        ):
+            stack = None if weights is None else weights[None]
+            got = gram_objective(G, b, yy, 3.0, phi[None], gamma, stack)
+            want = penalized_objective(X, y, phi, 3.0, gamma=gamma, weights=weights)
+            assert got[0] == pytest.approx(want, rel=1e-12)
 
 
 class TestWrapCoefficients:
