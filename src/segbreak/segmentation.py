@@ -25,7 +25,8 @@ single segments, leave only those that can lie on an optimal partition,
 and only those are solved.  No (n+1) x (n+1) array is built, a segment
 that exhausts the sweep budget fails a search only if it survives, and
 the result equals the dense table's (``optimal_breakpoints`` gives the
-rules and the argument).
+rules and the argument).  Every least-squares fit of the engine is
+``_least_squares``, under the rule of ``solvers.ols``.
 """
 
 from __future__ import annotations
@@ -175,21 +176,22 @@ def _cumulative_stats(dataset: Dataset):
     return cum_xx, cum_xy, cum_yy
 
 
-def _batch_adaptive_weights(G, b, lengths, p, g):
-    """Per-segment weight stack under the rule of ``solvers.ols``, and the
-    mask of rows that fall back to ones, the unweighted lasso: those whose
-    segment is shorter than p or whose Gram matrix is numerically
-    singular."""
-    w = np.ones((b.shape[0], p))
-    rows = np.flatnonzero(lengths >= p)
-    eig = np.linalg.eigvalsh(G[rows])
-    rows = rows[(eig[:, -1] > 0.0) & (eig[:, 0] >= solvers._GRAM_COND_FLOOR * eig[:, -1])]
-    phi = np.linalg.solve(G[rows], b[rows][..., None])[..., 0]
-    with np.errstate(divide="ignore"):
-        w[rows] = np.abs(phi) ** (-g)
-    fallback = np.ones(b.shape[0], dtype=bool)
-    fallback[rows] = False
-    return w, fallback
+def _least_squares(dataset, pairs, G, b):
+    """Least-squares fits of a stack of segment problems, and the mask of
+    those solved from ``G`` and ``b``: segments at least p long whose Gram
+    eigenvalues pass the test of ``solvers.ols``.  The others get the
+    minimum-norm fit of their rows, as differenced cumulative sums hide a
+    null space; with ``dataset`` None they stay 0, for callers that
+    discard them."""
+    phi = np.zeros(b.shape)
+    full = pairs[:, 1] - pairs[:, 0] >= b.shape[1]
+    eig = np.linalg.eigvalsh(G[full])
+    full[full] = (eig[:, -1] > 0.0) & (eig[:, 0] >= solvers._GRAM_COND_FLOOR * eig[:, -1])
+    phi[full] = np.linalg.solve(G[full], b[full][..., None])[..., 0]
+    for i in np.flatnonzero(~full) if dataset is not None else ():
+        a, e = pairs[i]
+        phi[i] = np.linalg.lstsq(dataset.X[a:e], dataset.y[a:e], rcond=None)[0]
+    return phi, full
 
 
 def _segment_stacks(stats, pairs):
@@ -251,29 +253,26 @@ def _pair_costs(dataset: Dataset, stats, pairs: np.ndarray, config: PenaltyConfi
 
 def _chunk_costs(dataset, pairs, G, b, yy, config):
     """``_pair_costs`` of one chunk of Gram-form segment problems: the one
-    place that solves each penalty family."""
+    place that solves each penalty family.  ``_least_squares`` gives the
+    fits at lam = 0, the adaptive weights and the concave bridge's second
+    start."""
     p = b.shape[1]
     if config.lambda_scale == 0.0:
-        phi = np.einsum("ijk,ik->ij", np.linalg.pinv(G, hermitian=True), b)
+        phi, _ = _least_squares(dataset, pairs, G, b)
         return solvers.gram_objective(G, b, yy, 0.0, phi), phi, None, None
 
     lengths = pairs[:, 1] - pairs[:, 0]
     lam = config.lambda_scale * lengths.astype(np.float64) ** config.rho
     gamma = 1.0 if config.family == FAMILY_ADAPTIVE else config.gamma
     if gamma != 1.0:
+        # ridge in closed form, which starts both bridges
+        phi = np.linalg.solve(G + lam[:, None, None] * np.eye(p), b[..., None])[..., 0]
         if gamma < 1.0:
-            X, y = dataset.X, dataset.y
-            starts = zip(*(
-                solvers._bridge_starts(X[a:bnd], y[a:bnd], lam_i)
-                for (a, bnd), lam_i in zip(pairs, lam)
-            ))
             phi = solvers._bridge_lla(
-                G, b, yy, lam, gamma, [np.array(s) for s in starts],
+                G, b, yy, lam, gamma, [phi, _least_squares(dataset, pairs, G, b)[0]],
                 config.cd_tolerance, config.cd_max_iterations,
             )
         else:
-            # ridge in closed form, which starts the smooth bridge
-            phi = np.linalg.solve(G + lam[:, None, None] * np.eye(p), b[..., None])[..., 0]
             for i in range(len(phi)) if gamma != 2.0 else ():
                 phi[i] = solvers._bridge_smooth(G[i], b[i], yy[i], lam[i], gamma, phi[i])
         if gamma != 2.0:
@@ -282,16 +281,18 @@ def _chunk_costs(dataset, pairs, G, b, yy, config):
         return solvers.gram_objective(G, b, yy, lam, phi, gamma), phi, None, None
 
     fallback = None
+    w = np.ones((b.shape[0], p))
     if config.family == FAMILY_ADAPTIVE:
-        w, fallback = _batch_adaptive_weights(G, b, lengths, p, config.g)
+        phi, full = _least_squares(None, pairs, G, b)
+        with np.errstate(divide="ignore"):
+            w[full] = np.abs(phi[full]) ** (-config.g)
+        fallback = ~full
         if not config.adaptive_fallback and fallback.any():
             a, bnd = pairs[np.argmax(fallback)]
             raise AdaptiveUnavailableError(
                 f"segment ({a}, {bnd}] has no least-squares weights: it is "
                 f"shorter than p={p} or its Gram matrix is singular"
             )
-    else:
-        w = np.ones((b.shape[0], p))
     thr = lam[:, None] * w / 2.0
     phi, stalled = solvers._batch_cd(G, b, thr, config.cd_tolerance, config.cd_max_iterations)
     # a problem that used the whole sweep budget keeps its cost only if its

@@ -41,6 +41,7 @@ from .model import (
     validate_dataset,
 )
 from .segmentation import _dense_fits, refit_breakpoints_two_stage
+from .solvers import _GRAM_COND_FLOOR
 
 _SCORE_FLOOR = 1e-300
 _TIE_REL = 1e-12
@@ -190,7 +191,7 @@ def active_set_standard_errors(
         Xa = dataset.X[rng.start : rng.end][:, active]
         gram = Xa.T @ Xa
         w = np.linalg.eigvalsh(gram)
-        if w[-1] <= 0.0 or w[0] < 1e-10 * w[-1]:
+        if w[-1] <= 0.0 or w[0] < _GRAM_COND_FLOOR * w[-1]:
             raise SingularActiveGramError(
                 f"active-set Gram of segment ({rng.start}, {rng.end}] is "
                 f"numerically singular"

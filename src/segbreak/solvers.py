@@ -15,10 +15,12 @@ with exact soft-threshold updates in Gram form over a stack of problems,
 which ``lasso_cd`` runs on a stack of one and the concave bridge descent
 on every problem and start of a stack at once.  The smooth bridge
 exponents (gamma > 1) are solved one Gram-form problem at a time by
-L-BFGS-B, and only they import ``scipy``.  Every Gram-form cost is
-``gram_objective``.  An infinite weight pins its coordinate at exactly 0
-and contributes nothing to the penalty value; this is how downstream
-code encodes coordinates whose least-squares estimate vanished.
+L-BFGS-B, and only they import ``scipy``; both bridges start from the
+ridge fit, the concave one also from the least-squares fit.  Every
+Gram-form cost is ``gram_objective``.  An infinite weight pins its
+coordinate at exactly 0 and contributes nothing to the penalty value;
+this is how downstream code encodes coordinates whose least-squares
+estimate vanished.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .errors import (
 )
 from .model import SegmentFit
 
+# least smallest-to-largest Gram eigenvalue ratio of a least-squares fit
 _GRAM_COND_FLOOR = 1e-10
 
 
@@ -420,17 +423,6 @@ def _bridge_smooth(G, b, yy, lam, gamma, phi0):
     )
 
 
-def _bridge_starts(X, y, lam):
-    """Starts of the concave bridge descent: the ridge fit (the zero
-    vector where its system is singular) and the least-squares fit."""
-    try:
-        ridge_start = ridge(X, y, lam if lam > 0 else 1e-8)
-    except SingularSystemError:
-        ridge_start = np.zeros(X.shape[1])
-    lstsq_start, *_ = np.linalg.lstsq(X, y, rcond=None)
-    return ridge_start, lstsq_start
-
-
 def _bridge_lla(G, b, yy, lam, gamma, starts, tol, max_iter):
     """Local linear approximation for the concave penalties (gamma < 1).
 
@@ -492,12 +484,15 @@ def bridge(
     G = X.T @ X
     b = X.T @ y
     yy = float(y @ y)
-    ridge_start, lstsq_start = _bridge_starts(X, y, lam)
+    try:
+        start = ridge(X, y, lam if lam > 0 else 1e-8)
+    except SingularSystemError:
+        start = np.zeros(X.shape[1])
     if gamma > 1:
-        phi = _bridge_smooth(G, b, yy, lam, gamma, ridge_start)
+        phi = _bridge_smooth(G, b, yy, lam, gamma, start)
     else:
         phi = _bridge_lla(
             G[None], b[None], np.array([yy]), np.array([lam]), gamma,
-            [ridge_start[None], lstsq_start[None]], tol, max_iter,
+            [start[None], np.linalg.lstsq(X, y, rcond=None)[0][None]], tol, max_iter,
         )[0]
     return wrap_coefficients(X, y, phi, lam, gamma, None, zero_clamp)

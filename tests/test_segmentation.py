@@ -212,8 +212,10 @@ _EVERY_FAMILY = pytest.mark.parametrize(
 class TestPairCosts:
     @_EVERY_FAMILY
     def test_matches_scalar_path(self, config):
+        # (37, 39] is shorter than p, late in the sample: its least-squares
+        # fit (at lam = 0, and the concave bridge's start) comes from its rows
         ds = _one_break(n=40, p=3, b=20, seed=21)
-        pairs = [(0, 10), (0, 40), (5, 25), (20, 40), (12, 19)]
+        pairs = [(0, 10), (0, 40), (5, 25), (20, 40), (12, 19), (37, 39)]
         batch = pair_costs(ds, np.array(pairs), config)
         for cost, pair in zip(batch, pairs):
             scalar = _reference_fit(ds, pair, config).penalized_cost
@@ -379,15 +381,16 @@ def _cd_oracle(G, b, lam, weights, tol, max_iter):
 
 def _reference_fit(ds, rng, config):
     """Row-based fit of one segment under the engine's rules, from the
-    public single-problem solvers: ``ols`` at lam = 0, ``_cd_oracle`` for
-    the lasso family (with ``adaptive_weights``, or none where they are
-    unavailable), ``ridge`` and ``bridge``."""
+    public single-problem solvers: the minimum-norm ``lstsq`` fit at
+    lam = 0 (``ols`` raises on a segment shorter than p), ``_cd_oracle``
+    for the lasso family (with ``adaptive_weights``, or none where they
+    are unavailable), ``ridge`` and ``bridge``."""
     rng = rng if isinstance(rng, SegmentRange) else SegmentRange(*rng)
     X, y = ds.X[rng.start : rng.end], ds.y[rng.start : rng.end]
     lam = config.lambda_scale * lambda_for_segment(rng, config.rho)
     clamp = config.effective_zero_clamp
     if lam == 0.0:
-        return solvers.wrap_coefficients(X, y, solvers.ols(X, y), 0.0)
+        return solvers.wrap_coefficients(X, y, np.linalg.lstsq(X, y, rcond=None)[0], 0.0)
     if config.family == "adaptive" or config.gamma == 1.0:
         weights = None
         if config.family == "adaptive":
@@ -479,6 +482,18 @@ class TestSegmentCostMatchesSearch:
             rows = slice(rng.start, rng.end)
             min_norm = np.linalg.pinv(X[rows]) @ ds.y[rows]
             np.testing.assert_allclose(single.coefficients, min_norm, rtol=0.0, atol=1e-9)
+
+    def test_unpenalized_short_segments_late_in_a_long_sample(self):
+        # layout 5 (n = 1500, p = 10): a segment shorter than p fits its
+        # rows exactly, but the rounding of differenced cumulative Gram
+        # matrices, which scales with the whole prefix, hides its null space
+        ds = replication_dataset(table_preset(5)[0], 0)
+        pairs = np.array([(a, a + m) for a in range(1400, 1492) for m in (3, 5, 8)])
+        costs = pair_costs(ds, pairs, PenaltyConfig(lambda_scale=0.0))
+        for cost, (a, b) in zip(costs, pairs):
+            X, y = ds.X[a:b], ds.y[a:b]
+            r = y - X @ np.linalg.lstsq(X, y, rcond=None)[0]
+            assert cost == pytest.approx(r @ r, rel=0.0, abs=1e-9), (a, b)
 
 
 class TestCostTable:
