@@ -14,19 +14,23 @@ length.  ``_chunk_costs`` is the one place that solves each penalty
 family: ``solvers._batch_cd`` on a whole stack of segment problems at
 once for the lasso family, the ridge closed form, the batched concave
 bridge, and the smooth bridge exponents (gamma > 1 other than 2) one
-problem at a time.  The reported fits of the chosen segments come from
-the same engine, checked against the rows (``_report_fit``), and so does
-``segment_cost``, which runs it on a stack of one.  ``select_k`` solves
-every admissible segment once for all K.  A single K-break search
-(``optimal_breakpoints`` over every sample position, the coarse grid of
-the approximate ``refit_breakpoints_two_stage``) instead keeps a list of
-segments: least-squares lower bounds, on blocks of segments and then on
-single segments, leave only those that can lie on an optimal partition,
-and only those are solved.  No (n+1) x (n+1) array is built, a segment
-that exhausts the sweep budget fails a search only if it survives, and
-the result equals the dense table's (``optimal_breakpoints`` gives the
-rules and the argument).  Every least-squares fit of the engine is
-``_least_squares``, under the rule of ``solvers.ols``.
+problem at a time.  A search solves through its ``_Solved`` record, which
+solves each segment at most once and keeps its fit, so the reported fits
+of the chosen segments are taken from the search's own solves, checked
+against the rows (``_report_fit``); ``segment_cost`` runs the engine on a
+stack of one.  ``select_k`` solves every admissible segment once for all
+K.  A single K-break search (``optimal_breakpoints`` over every sample
+position, the coarse grid of the approximate
+``refit_breakpoints_two_stage``) instead keeps a list of segments:
+least-squares lower bounds, on blocks of segments and then on single
+segments, measured against an incumbent scored at its least-squares fit,
+leave only those that can lie on an optimal partition, and only those
+are solved, in one engine call.  No (n+1) x (n+1) array is built, a
+segment that exhausts the sweep budget fails a search only if it
+survives, and the result equals the dense table's
+(``optimal_breakpoints`` gives the rules and the argument).  Every
+least-squares fit of the engine is ``_least_squares``, under the rule
+of ``solvers.ols``.
 """
 
 from __future__ import annotations
@@ -181,17 +185,39 @@ def _least_squares(dataset, pairs, G, b):
     those solved from ``G`` and ``b``: segments at least p long whose Gram
     eigenvalues pass the test of ``solvers.ols``.  The others get the
     minimum-norm fit of their rows, as differenced cumulative sums hide a
-    null space; with ``dataset`` None they stay 0, for callers that
-    discard them."""
+    null space, from one batched SVD per segment length (``_min_norm``);
+    with ``dataset`` None they stay 0, for callers that discard them."""
     phi = np.zeros(b.shape)
     full = pairs[:, 1] - pairs[:, 0] >= b.shape[1]
     eig = np.linalg.eigvalsh(G[full])
     full[full] = (eig[:, -1] > 0.0) & (eig[:, 0] >= solvers._GRAM_COND_FLOOR * eig[:, -1])
     phi[full] = np.linalg.solve(G[full], b[full][..., None])[..., 0]
-    for i in np.flatnonzero(~full) if dataset is not None else ():
-        a, e = pairs[i]
-        phi[i] = np.linalg.lstsq(dataset.X[a:e], dataset.y[a:e], rcond=None)[0]
+    if dataset is not None:
+        rest = np.flatnonzero(~full)
+        lengths = pairs[rest, 1] - pairs[rest, 0]
+        for m in _distinct(lengths):
+            group = rest[lengths == m]
+            per = max(1, _ROW_BATCH // (int(m) * b.shape[1]))
+            for lo in range(0, len(group), per):
+                sub = group[lo : lo + per]
+                rows = pairs[sub, 0][:, None] + np.arange(m)
+                phi[sub] = _min_norm(dataset.X[rows], dataset.y[rows])
     return phi, full
+
+
+# Most design entries that one batched SVD of _least_squares stacks.
+_ROW_BATCH = 1 << 20
+
+
+def _min_norm(X, y):
+    """Minimum-norm least-squares fits of a stack of row blocks ``X`` (S, m,
+    p) and responses ``y`` (S, m), from one batched SVD: singular values at
+    most ``eps * max(m, p)`` times the largest are taken as zero, the
+    cut-off of ``np.linalg.lstsq`` with ``rcond=None``."""
+    u, s, vt = np.linalg.svd(X, full_matrices=False)
+    keep = s > np.finfo(np.float64).eps * max(X.shape[1:]) * s[:, :1]
+    inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+    return np.einsum("skp,sk->sp", vt, inv * np.einsum("smk,sm->sk", u, y))
 
 
 def _segment_stacks(stats, pairs):
@@ -304,6 +330,68 @@ def _chunk_costs(dataset, pairs, G, b, yy, config):
             config.cd_max_iterations,
         )
     return solvers.gram_objective(G, b, yy, lam, phi, weights=w), phi, w, fallback
+
+
+class _Solved(tuple):
+    """The cumulative statistics of one search, as ``_cumulative_stats``
+    gives them, with the record of the segments the search has solved.
+
+    Each solved segment's cost, coefficients, adaptive weights and
+    fallback flag (``_pair_costs``'s four outputs) are kept in arrays,
+    sorted by the key ``start * (n + 1) + end``.  ``rows`` solves, in one
+    engine call, only the segments not yet in the record, so a search
+    solves each segment at most once; an engine row does not depend on its
+    stack mates, so a fit taken from the record has the bits of a fresh
+    solve.
+    """
+
+    def __new__(cls, dataset: Dataset, config: PenaltyConfig, stats=None):
+        self = super().__new__(cls, _cumulative_stats(dataset) if stats is None else stats)
+        self.dataset, self.config = dataset, config
+        self.key = np.empty(0, dtype=np.int64)
+        self.cost = self.coefs = self.w = self.fallback = None
+        return self
+
+    def rows(self, starts, ends) -> np.ndarray:
+        """Record rows of the segments (starts[m], ends[m]], solving the
+        ones not yet recorded."""
+        n1 = self.dataset.n + 1
+        starts, ends = np.asarray(starts, dtype=np.int64), np.asarray(ends, dtype=np.int64)
+        key = starts * n1 + ends
+        at = np.searchsorted(self.key, key)
+        known = at < len(self.key)
+        known[known] = self.key[at[known]] == key[known]
+        new = _distinct(key[~known])
+        del key, at, known  # a dense table's index arrays would add to its peak
+        if self.cost is None or len(new):  # the first call sets the arrays up
+            fits = _pair_costs(
+                self.dataset, self, np.column_stack(np.divmod(new, n1)), self.config
+            )
+            if self.cost is None:
+                self.key, (self.cost, self.coefs, self.w, self.fallback) = new, fits
+            else:
+                into = np.searchsorted(self.key, new)
+                self.key = np.insert(self.key, into, new)
+                self.cost, self.coefs, self.w, self.fallback = (
+                    None if old is None else np.insert(old, into, add, axis=0)
+                    for old, add in zip((self.cost, self.coefs, self.w, self.fallback), fits)
+                )
+        return np.searchsorted(self.key, starts * n1 + ends)
+
+    def costs(self, starts, ends) -> np.ndarray:
+        """Costs of the segments (starts[m], ends[m]], solving the ones not
+        yet recorded."""
+        rows = self.rows(starts, ends)  # before self.cost is read: it may grow
+        return self.cost[rows]
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of ``keys``, sorted: ``np.unique``, which first
+    imports ``numpy.ma`` (1.7 MB of resident memory per process)."""
+    keys = np.sort(keys)
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
 
 
 def build_cost_table(
@@ -471,31 +559,46 @@ def _block_bounds(stats, first, last, i, j, slack: float) -> np.ndarray:
     return out
 
 
-def _pruned_cost_table(
-    dataset: Dataset, stats, k: int, config: PenaltyConfig, min_seg_len: int, nodes=None
-):
-    """Segments of the exact K-break search over ``nodes`` (increasing
-    sample positions from 0 to n, all by default), solved only where needed.
+def _incumbent_costs(dataset: Dataset, stats, pairs, config: PenaltyConfig) -> np.ndarray:
+    """Attained objective of each segment in ``pairs`` without a solve.
 
-    Returns ``(i, j, cost, n_nodes)`` as ``_dp_minimize`` takes them: the
-    survivors of pruning and the incumbents' segments, the only ones solved;
-    ``optimal_breakpoints`` gives the rules.  Nodes with no K-partition
-    raise InfeasiblePartitionError.
+    Each segment's least-squares fit (``_least_squares``) is scored with the
+    weights it implies (for an adaptive segment without least-squares
+    weights, the unit weights of the engine's fallback), and the zero fit
+    with y'y; the lesser value is taken.  Both are values of the
+    segment's objective at a point, so each is at least its minimum, up
+    to the tolerance of the solver that computes that minimum.
     """
-    if nodes is None:
-        nodes = np.arange(dataset.n + 1)
+    out = np.empty(len(pairs))
+    for sl, G, b, yy in _segment_stacks(stats, pairs):
+        phi, full = _least_squares(dataset, pairs[sl], G, b)
+        lam = config.lambda_scale * (pairs[sl, 1] - pairs[sl, 0]).astype(np.float64) ** config.rho
+        if config.family == FAMILY_ADAPTIVE:
+            w = np.ones(phi.shape)
+            with np.errstate(divide="ignore"):
+                w[full] = np.abs(phi[full]) ** (-config.g)
+            value = solvers.gram_objective(G, b, yy, lam, phi, weights=w)
+        else:
+            value = solvers.gram_objective(G, b, yy, lam, phi, config.gamma)
+        out[sl] = np.minimum(value, yy)
+    return out
+
+
+def _survivors(dataset: Dataset, stats, k: int, config: PenaltyConfig, min_seg_len: int,
+               nodes, upper=None):
+    """The bound-and-prune passes of the pruned search over ``nodes``.
+
+    Returns ``(i, j, upper, incumbent)``: the surviving segments as node
+    indices, the U they were pruned against and the nodes of the incumbent
+    that gave it.  With ``upper`` given, every pass prunes against it and
+    scores no incumbent (``incumbent`` is then None, as it is when no
+    pass has one).  ``optimal_breakpoints`` gives the rules.
+    """
     end = len(nodes) - 1  # index of the last node
     slack = _BOUND_SLACK * float(stats[2][-1])
-    scored = {}  # cost of each solved segment, by (start node, end node)
-
-    def score(segments):
-        """Costs of the listed (start node, end node) pairs, each solved once."""
-        new = [seg for seg in segments if seg not in scored]
-        pairs = nodes[np.array(new, dtype=np.int64).reshape(-1, 2)]
-        scored.update(zip(new, _pair_costs(dataset, stats, pairs, config)[0]))
-        return np.array([scored[seg] for seg in segments])
-
-    upper = np.inf
+    scoring, incumbent = upper is None, None
+    if scoring:
+        upper = np.inf
     i, j, outer = np.array([0]), np.array([0]), end + 1  # one block of everything
     coarse = _block_size(end)
     for size in (coarse, 1) if coarse > 1 else (1,):
@@ -507,51 +610,91 @@ def _pruned_cost_table(
         on_path = np.isfinite(_least_through(i, j, np.where(fits, 0.0, np.inf), len(first), k))
         i, j = i[on_path], j[on_path]
         if not len(i):
-            raise InfeasiblePartitionError(f"no admissible placement of {k} breakpoints")
+            if outer > end:  # nothing is pruned yet
+                raise InfeasiblePartitionError(f"no admissible placement of {k} breakpoints")
+            break  # U lies below every partition left, which the certificate mends
         lower = _block_bounds(stats, first_at, last_at, i, j, slack)
 
-        # incumbent: the bound-optimal partition on the block starts
-        grid = np.append(first[:-1], end)
-        fits = nodes[grid[j]] - nodes[grid[i]] >= min_seg_len
-        try:
-            _, picked = _dp_minimize(i[fits], j[fits], lower[fits], len(first), k)
-        except InfeasiblePartitionError:
-            pass  # no partition on this grid, so no pruning at this level
-        else:
-            ends = grid[[0, *picked, -1]].tolist()
-            upper = min(upper, score(list(zip(ends[:-1], ends[1:]))).sum())
+        if scoring:
+            # incumbent: the bound-optimal partition on the block starts
+            grid = np.append(first[:-1], end)
+            fits = nodes[grid[j]] - nodes[grid[i]] >= min_seg_len
+            try:
+                _, picked = _dp_minimize(i[fits], j[fits], lower[fits], len(first), k)
+            except InfeasiblePartitionError:
+                pass  # no partition on this grid, so no incumbent at this level
+            else:
+                ends = grid[[0, *picked, -1]]
+                at = np.column_stack([nodes[ends[:-1]], nodes[ends[1:]]])
+                score = _incumbent_costs(dataset, stats, at, config).sum()
+                if score < upper:
+                    upper, incumbent = score, ends
         keep = _least_through(i, j, lower, len(first), k) <= upper + slack
         i, j, outer = i[keep], j[keep], size
-
-    score(list(zip(i.tolist(), j.tolist())))
-    i, j = np.array(list(scored), dtype=np.int64).T
-    return i, j, np.array(list(scored.values())), end + 1
+    return i, j, upper, incumbent
 
 
-def _assemble_fits(dataset: Dataset, stats, partitions, config: PenaltyConfig, totals):
-    """Fits of the breakpoint vectors in ``partitions``, whose segments are
-    solved in one engine call.
+def _pruned_cost_table(
+    dataset: Dataset, solved, k: int, config: PenaltyConfig, min_seg_len: int, nodes=None
+):
+    """Segments of the exact K-break search over ``nodes`` (increasing
+    sample positions from 0 to n, all by default), solved only where needed.
+
+    ``solved`` is the search's ``_Solved`` record; the survivors of
+    pruning and the incumbent's segments are solved in one call of it.
+    Returns ``(i, j, cost, n_nodes)`` as ``_dp_minimize`` takes them;
+    ``optimal_breakpoints`` gives the rules and the certificate.  Nodes
+    with no K-partition raise InfeasiblePartitionError.
+    """
+    if nodes is None:
+        nodes = np.arange(dataset.n + 1)
+    n_nodes = len(nodes)
+    i, j, upper, incumbent = _survivors(dataset, solved, k, config, min_seg_len, nodes)
+    listed = i * n_nodes + j
+    if incumbent is not None:
+        listed = np.concatenate([listed, incumbent[:-1] * n_nodes + incumbent[1:]])
+    i, j = np.divmod(_distinct(listed), n_nodes)
+    cost = solved.costs(nodes[i], nodes[j])
+    total, _ = _dp_minimize(i, j, cost, n_nodes, k)
+    if total > upper + _BOUND_SLACK * float(solved[2][-1]):
+        # the solver attained more than U promised: prune again against the
+        # attained total, and solve the new survivors
+        more_i, more_j, _, _ = _survivors(dataset, solved, k, config, min_seg_len, nodes, total)
+        i, j = np.divmod(_distinct(np.concatenate([i * n_nodes + j, more_i * n_nodes + more_j])),
+                         n_nodes)
+        cost = solved.costs(nodes[i], nodes[j])
+    return i, j, cost, n_nodes
+
+
+def _assemble_fits(solved: _Solved, partitions, totals):
+    """Fits of the breakpoint vectors in ``partitions``, taken from the
+    search's ``_Solved`` record, which solves (in one engine call) only
+    segments the search has not.
 
     Each segment is reported by ``_report_fit``, which checks a
     lasso-family fit for stationarity and recomputes its RSS and penalty
     from the rows of ``X`` and ``y`` at the reported (clamped)
     coefficients.  A partition's total must then match its search total
-    (from ``totals``, or the engine's where that is None) within 1e-9
-    relative.  Either failure raises ConsistencyError.
+    (from ``totals``, or the record's costs where that is None) within
+    1e-9 relative.  Either failure raises ConsistencyError.
     """
+    dataset, config = solved.dataset, solved.config
     ranges = [segment_ranges(bp, dataset.n) for bp in partitions]
     pairs = np.array([(r.start, r.end) for rs in ranges for r in rs], dtype=np.int64)
-    costs, coefs, w, fallback = _pair_costs(dataset, stats, pairs.reshape(-1, 2), config)
+    rows = solved.rows(*pairs.reshape(-1, 2).T)
     out, m = [], 0
     for bp, rs, expected in zip(partitions, ranges, totals):
         fits = []
         for rng in rs:
-            weights = None if fallback is None or fallback[m] else w[m]
-            fits.append(_report_fit(dataset, rng, coefs[m], weights, config))
+            row = rows[m]
+            weights = None
+            if solved.fallback is not None and not solved.fallback[row]:
+                weights = solved.w[row].copy()  # not a view that holds the record
+            fits.append(_report_fit(dataset, rng, solved.coefs[row], weights, config))
             m += 1
         total = float(sum(f.penalized_cost for f in fits))
         if expected is None:
-            expected = float(costs[m - len(rs) : m].sum())
+            expected = float(solved.cost[rows[m - len(rs) : m]].sum())
         if not abs(total - expected) <= 1e-9 * max(1.0, abs(expected)):
             raise ConsistencyError(
                 f"segment refit total {total!r} drifted from search total "
@@ -567,10 +710,10 @@ def _assemble_fits(dataset: Dataset, stats, partitions, config: PenaltyConfig, t
 def _dense_fits(dataset: Dataset, ks, config: PenaltyConfig, min_seg_len: int) -> dict:
     """Exact fits by K for the K in ``ks`` that are feasible: every
     admissible segment is solved once, the dynamic program runs per K, and
-    the chosen segments of every K are solved in one stack."""
-    stats = _cumulative_stats(dataset)
+    the chosen segments' fits are taken from the same solve."""
+    solved = _Solved(dataset, config)
     i, j = np.triu_indices(dataset.n + 1, min_seg_len)
-    cost = _pair_costs(dataset, stats, np.column_stack([i, j]), config)[0]
+    cost = solved.costs(i, j)
     found = {}
     for k in ks:
         try:
@@ -578,8 +721,7 @@ def _dense_fits(dataset: Dataset, ks, config: PenaltyConfig, min_seg_len: int) -
         except InfeasiblePartitionError:
             pass
     fits = _assemble_fits(
-        dataset, stats, [nodes for _, nodes in found.values()], config,
-        [total for total, _ in found.values()],
+        solved, [nodes for _, nodes in found.values()], [total for total, _ in found.values()]
     )
     return dict(zip(found, fits))
 
@@ -638,19 +780,30 @@ def optimal_breakpoints(
        over the bounded blocks give, for every block, the least bound
        total of a K-break partition through it.
     3. *Incumbent.*  The K-break partition on the block starts (and the
-       last node) that minimizes the bound total is scored with
-       ``pair_costs``; its score is attained, and U is the least such
-       score so far.  A grid with no admissible K-partition scores none.
+       last node) that minimizes the bound total is scored without a
+       solve (``_incumbent_costs``): each of its segments at its
+       least-squares fit, with the weights that fit implies, or at the
+       zero fit if that is lower.  The score is attained, and U is the
+       least such score so far.  A grid with no admissible K-partition
+       scores none.
     4. *Prune.*  Blocks whose best bound exceeds U plus the slack are
        dropped, with every segment in them.
 
-    Then ``pair_costs`` solves the surviving segments not yet scored, and the
-    program runs over them and the incumbents.  ``refit_breakpoints_two_stage``
-    runs the same passes over its grid's nodes, on which nothing below depends.
+    Then the surviving segments and those of the incumbent that set U are
+    solved, in one engine call of the search's ``_Solved`` record, and the
+    program runs over them.  U bounds the optimum only up to the solver's
+    tolerance, so it is certified: if the program's total exceeds U plus
+    the slack, every pass is run again against that total (an attained
+    score) instead of U, and the new survivors are solved before the
+    program runs again.  The chosen segments' fits are then taken from the
+    record, so the common fit makes one engine call.
+    ``refit_breakpoints_two_stage`` runs the same passes over its grid's
+    nodes, on which nothing below depends.
 
     The search over this list is exact.  A dropped block holds only
-    segments on partitions whose bound total, and hence cost, exceeds U,
-    an attained score, so none of them is on an optimal partition.  The
+    segments on partitions whose bound total, and hence cost, exceeds the
+    certified U, which is at least the optimum, so none of them is on an
+    optimal partition.  The
     segments of the partition the dense table would return all survive,
     with the same costs, so the dynamic program finds the same minimum at
     every node it reconstructs from and makes the same lexicographic
@@ -659,16 +812,22 @@ def optimal_breakpoints(
     actually solved.
     """
     min_len = _search_min_len(dataset, k, config, criterion)
-    stats = _cumulative_stats(dataset)
+    solved = _Solved(dataset, config)
     if cost_table is None:
-        segments = _pruned_cost_table(dataset, stats, k, config, min_len)
-    elif cost_table.shape != (dataset.n + 1,) * 2 or not (cost_table > -np.inf).all():
+        return _exact_fit(solved, k, min_len)
+    if cost_table.shape != (dataset.n + 1,) * 2 or not (cost_table > -np.inf).all():
         raise ValueError("cost_table must be (n+1) x (n+1) and hold no NaN or -inf")
-    else:
-        i, j = np.nonzero(np.isfinite(cost_table))
-        segments = i, j, cost_table[i, j], dataset.n + 1
-    total, nodes = _dp_minimize(*segments, k)
-    return _assemble_fits(dataset, stats, [nodes], config, [total])[0]
+    i, j = np.nonzero(np.isfinite(cost_table))
+    total, nodes = _dp_minimize(i, j, cost_table[i, j], dataset.n + 1, k)
+    return _assemble_fits(solved, [nodes], [total])[0]
+
+
+def _exact_fit(solved: _Solved, k: int, min_len: int) -> ChangePointFit:
+    """The pruned exact K-break fit of ``optimal_breakpoints``, solving
+    through the record ``solved``."""
+    dataset, config = solved.dataset, solved.config
+    total, nodes = _dp_minimize(*_pruned_cost_table(dataset, solved, k, config, min_len), k)
+    return _assemble_fits(solved, [nodes], [total])[0]
 
 
 def refit_breakpoints_two_stage(
@@ -685,23 +844,34 @@ def refit_breakpoints_two_stage(
     grid of spacing ``grid_step`` plus 0 and n, halving the spacing until
     a K-partition fits; a grid segment that exhausts the sweep budget
     fails the fit only if it survives pruning.  Stage 2 re-optimizes each
-    breakpoint exhaustively within ``grid_step`` of its current value,
-    holding the others fixed, sweeping until no breakpoint moves; a
-    breakpoint moves only when some position strictly lowers the total of
-    its two segments, and then to the first position of least total.  The
-    chosen segments' fits come from one more engine call, as in
-    ``optimal_breakpoints``.  The result is coordinate-wise locally optimal but
-    not guaranteed to be the global minimizer.  ``grid_step=1`` delegates
-    to ``optimal_breakpoints``.
+    breakpoint within ``grid_step`` of its current value, holding the
+    others fixed, sweeping until no breakpoint moves; a breakpoint moves
+    only when some position strictly lowers the total of its two
+    segments, and then to the first position of least total.  A position
+    whose two segments' ``_rss_bounds`` sum exceeds the current total plus
+    the slack of ``optimal_breakpoints`` cannot be that, and is not
+    solved.  Every segment is solved at most once per fit, and the chosen
+    segments' fits are taken from those solves, as in
+    ``optimal_breakpoints``.  The result is coordinate-wise locally
+    optimal but not guaranteed to be the global minimizer.
+    ``grid_step=1`` is the exact search of ``optimal_breakpoints``.
     """
     if grid_step < 1:
         raise ValueError("grid_step must be >= 1")
-    if grid_step == 1:
-        return optimal_breakpoints(dataset, k, config, criterion)
     min_len = _search_min_len(dataset, k, config, criterion)
-    stats = _cumulative_stats(dataset)
+    return _two_stage_fit(_Solved(dataset, config), k, min_len, grid_step)
+
+
+def _two_stage_fit(solved: _Solved, k: int, min_len: int, grid_step: int) -> ChangePointFit:
+    """``refit_breakpoints_two_stage`` of K with the minimum segment length
+    ``min_len``, solving through the record ``solved``, which a caller may
+    share across K."""
+    dataset, config = solved.dataset, solved.config
+    _check_feasible(dataset.n, k, min_len)
+    if grid_step == 1:
+        return _exact_fit(solved, k, min_len)
     if k == 0:
-        return _assemble_fits(dataset, stats, [()], config, [None])[0]
+        return _assemble_fits(solved, [()], [None])[0]
 
     n = dataset.n
     step = grid_step
@@ -710,7 +880,7 @@ def refit_breakpoints_two_stage(
         nodes = np.array([0, *interior, n], dtype=np.int64)
         try:
             _, picked = _dp_minimize(
-                *_pruned_cost_table(dataset, stats, k, config, min_len, nodes), k
+                *_pruned_cost_table(dataset, solved, k, config, min_len, nodes), k
             )
             break
         except InfeasiblePartitionError:
@@ -722,18 +892,35 @@ def refit_breakpoints_two_stage(
     for _ in range(200):
         moved = False
         for r in range(1, k + 1):
-            lo = max(bounds[r - 1] + min_len, bounds[r] - grid_step)
-            hi = min(bounds[r + 1] - min_len, bounds[r] + grid_step)
+            a, t, c = bounds[r - 1 : r + 2]
+            lo, hi = max(a + min_len, t - grid_step), min(c - min_len, t + grid_step)
             ts = np.arange(lo, hi + 1)
-            costs = _pair_costs(dataset, stats, np.concatenate([
-                np.column_stack([np.full_like(ts, bounds[r - 1]), ts]),
-                np.column_stack([ts, np.full_like(ts, bounds[r + 1])]),
-            ]), config)[0]
-            totals = costs[: len(ts)] + costs[len(ts) :]
+            kept = _window_positions(solved, a, ts, c, solved.costs([a, t], [t, c]).sum())
+            kept[t - lo] = True
+            ts_kept = ts[kept]
+            costs = solved.costs(
+                np.concatenate([np.full_like(ts_kept, a), ts_kept]),
+                np.concatenate([ts_kept, np.full_like(ts_kept, c)]),
+            )
+            totals = np.full(len(ts), np.inf)
+            totals[kept] = costs[: len(ts_kept)] + costs[len(ts_kept) :]
             best = int(np.argmin(totals))  # the first position of least total
-            if totals[best] < totals[bounds[r] - lo]:
+            if totals[best] < totals[t - lo]:
                 bounds[r] = lo + best
                 moved = True
         if not moved:
             break
-    return _assemble_fits(dataset, stats, [bounds[1:-1]], config, [None])[0]
+    return _assemble_fits(solved, [bounds[1:-1]], [None])[0]
+
+
+def _window_positions(solved: _Solved, a: int, ts, c: int, total: float) -> np.ndarray:
+    """Mask of the positions t in ``ts`` whose segments (a, t] and (t, c]
+    may cost ``total`` or less: the sum of their ``_rss_bounds`` is at most
+    ``total`` plus the slack of ``optimal_breakpoints``.  A position off
+    the mask costs more than ``total``."""
+    slack = _BOUND_SLACK * float(solved[2][-1])
+    lower = _rss_bounds(solved, np.concatenate([
+        np.column_stack([np.full_like(ts, a), ts]),
+        np.column_stack([ts, np.full_like(ts, c)]),
+    ]), slack)
+    return lower[: len(ts)] + lower[len(ts) :] <= total + slack

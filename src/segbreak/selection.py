@@ -40,7 +40,7 @@ from .model import (
     segment_ranges,
     validate_dataset,
 )
-from .segmentation import _dense_fits, refit_breakpoints_two_stage
+from .segmentation import _Solved, _dense_fits, _two_stage_fit
 from .solvers import _GRAM_COND_FLOOR
 
 _SCORE_FLOOR = 1e-300
@@ -102,14 +102,20 @@ def select_k(
     Ties within 1e-12 relative resolve toward the smaller K.  Infeasible K
     values (minimum segment length times K+1 exceeding n) are recorded in
     the table and skipped; if every K is infeasible the error propagates.
-    The default exact search solves every admissible segment once and the
-    chosen segments of all K in one more stack.
+    The default exact search solves every admissible segment once, and the
+    fits of every K come from that one solve.  With ``grid_step``, each K
+    runs ``refit_breakpoints_two_stage`` on the same cumulative statistics,
+    and a segment solved for one K is not solved again for another.
     """
     validate_dataset(dataset)
     min_len = effective_min_seg_len(penalty, criterion, dataset.p)
     ks = range(criterion.k_max + 1)
     if grid_step is None:
         exact = _dense_fits(dataset, ks, penalty, min_len)
+    elif grid_step < 1:
+        raise ValueError("grid_step must be >= 1")
+    else:
+        solved = _Solved(dataset, penalty)
     rows = []
     best = None  # (value, k, fit)
     for k in ks:
@@ -117,9 +123,7 @@ def select_k(
             fit = exact.get(k)
         else:
             try:
-                fit = refit_breakpoints_two_stage(
-                    dataset, k, penalty, criterion, grid_step=grid_step
-                )
+                fit = _two_stage_fit(solved, k, min_len, grid_step)
             except InfeasiblePartitionError:
                 fit = None
         if fit is None:

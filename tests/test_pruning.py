@@ -12,7 +12,11 @@ the segment and block bounds on awkward designs, count the bounds and
 solves an n = 1500 fit needs, bound the memory of an exact n = 5000 fit,
 hold the dynamic programs over segment lists to their dense originals,
 and pin the typed consistency error that replaced the runtime asserts (it
-must fire under ``python -O`` too).
+must fire under ``python -O`` too).  They also hold the searches exact
+when the least-squares incumbents are scored below the optimum (the
+certificate must catch it), count the engine calls of an exact fit, hold
+each reported fit to the engine's row of its segment, and hold the
+bound-pruned refinement windows to whole ones.
 """
 
 import subprocess
@@ -28,6 +32,7 @@ from segbreak import (
     CriterionConfig,
     Dataset,
     InfeasiblePartitionError,
+    NoConvergenceError,
     PenaltyConfig,
     REGIME_COEFFICIENTS,
     ScenarioSpec,
@@ -57,6 +62,10 @@ LASSO = PenaltyConfig(family="lasso_type", gamma=1.0)
 RIDGE = PenaltyConfig(family="lasso_type", gamma=2.0)
 LEAST_SQUARES = PenaltyConfig(family="lasso_type", gamma=1.0, lambda_scale=0.0)
 BRIDGE = PenaltyConfig(family="lasso_type", gamma=0.5)
+FAMILIES = [ADAPTIVE, LASSO, RIDGE, LEAST_SQUARES]
+FAMILY_IDS = ["adaptive", "lasso", "ridge", "least-squares"]
+FAMILIES_WITH_BRIDGE = [*FAMILIES, BRIDGE]
+FAMILY_IDS_WITH_BRIDGE = [*FAMILY_IDS, "bridge"]
 
 
 # Block sizes the pruned search is forced to use besides its own rule's:
@@ -86,6 +95,13 @@ def _each_block_size(monkeypatch):
 def _assert_same_search(monkeypatch, ds, ks, config, min_len=None):
     """Pruned == dense, under the block-size rule and at each forced size,
     and the exact ``select_k`` over K = 0 .. max(ks) == dense."""
+    table, dense = _assert_same_exact(monkeypatch, ds, ks, config, min_len)
+    _assert_same_selection(monkeypatch, ds, config, min_len, table, dense)
+
+
+def _assert_same_exact(monkeypatch, ds, ks, config, min_len=None):
+    """Pruned == dense, under the block-size rule and at each forced size;
+    returns the dense table and the dense fits by K."""
     crit = None if min_len is None else CriterionConfig(min_seg_len=min_len)
     table = _dense_table(ds, config, min_len)
     dense = {k: optimal_breakpoints(ds, k, config, crit, cost_table=table) for k in ks}
@@ -94,7 +110,7 @@ def _assert_same_search(monkeypatch, ds, ks, config, min_len=None):
             pruned = optimal_breakpoints(ds, k, config, crit)
             assert pruned.breakpoints == dense[k].breakpoints, (size, k)
             assert pruned.total_score == dense[k].total_score, (size, k)
-    _assert_same_selection(monkeypatch, ds, config, min_len, table, dense)
+    return table, dense
 
 
 def _assert_same_selection(monkeypatch, ds, config, min_len, table, dense):
@@ -372,6 +388,164 @@ def test_pruning_solves_few_segments(monkeypatch):
     _assert_few_solved(monkeypatch, replication_dataset(spec, 0), 2, config)
 
 
+def _halve_incumbents(monkeypatch):
+    """Score every incumbent at half its least-squares value, which can lie
+    below the optimum it should bound; returns the list that receives each
+    U the certificate prunes against again."""
+    incumbent = segmentation._incumbent_costs
+    survivors = segmentation._survivors
+    repruned = []
+
+    def recording(dataset, stats, k, config, min_seg_len, nodes, upper=None):
+        if upper is not None:
+            repruned.append(upper)
+        return survivors(dataset, stats, k, config, min_seg_len, nodes, upper)
+
+    monkeypatch.setattr(segmentation, "_incumbent_costs", lambda *args: 0.5 * incumbent(*args))
+    monkeypatch.setattr(segmentation, "_survivors", recording)
+    return repruned
+
+
+# Each family on a replication whose dense table and dense grids complete
+# (see the comparisons above); layout 3 runs only the preset penalty.
+CERTIFIED = [
+    (1, ADAPTIVE), (2, ADAPTIVE), (3, ADAPTIVE),
+    (1, LASSO), (2, RIDGE), (2, LEAST_SQUARES), (None, BRIDGE),
+]
+
+
+@pytest.mark.parametrize(
+    "layout, config", CERTIFIED,
+    ids=["adaptive-1", "adaptive-2", "adaptive-3", "lasso-1", "ridge-2",
+         "least-squares-2", "bridge"],
+)
+def test_certificate_keeps_searches_exact_below_the_optimum(monkeypatch, layout, config):
+    # An incumbent below the optimum prunes segments of the optimal
+    # partition; the certificate sees the solved total exceed it and
+    # prunes again against that total, so both searches still equal dense.
+    if layout is None:
+        ds, ks = _two_regimes(n=30, p=2, b=12, seed=3), range(3)
+    else:
+        ds, ks = replication_dataset(table_preset(layout)[0], 0), range(4)
+    repruned = _halve_incumbents(monkeypatch)
+    _assert_same_exact(monkeypatch, ds, ks, config)
+    _assert_same_two_stage(monkeypatch, ds, [k for k in ks if k], config, (5, 10))
+    assert repruned
+
+
+def _count_engine_calls(monkeypatch):
+    """Dict of the ``_pair_costs`` and ``solvers._batch_cd`` call counts,
+    and of the ``_pair_costs`` calls made inside ``_assemble_fits``."""
+    calls = {"pair_costs": 0, "batch_cd": 0, "in_assemble": 0}
+    inside = [False]
+    pair_costs_, batch_cd, assemble = (
+        segmentation._pair_costs, segmentation.solvers._batch_cd, segmentation._assemble_fits
+    )
+
+    def counting_pairs(*args):
+        calls["pair_costs"] += 1
+        calls["in_assemble"] += inside[0]
+        return pair_costs_(*args)
+
+    def counting_cd(*args):
+        calls["batch_cd"] += 1
+        return batch_cd(*args)
+
+    def flagged(*args):
+        inside[0] = True
+        try:
+            return assemble(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(segmentation, "_pair_costs", counting_pairs)
+    monkeypatch.setattr(segmentation.solvers, "_batch_cd", counting_cd)
+    monkeypatch.setattr(segmentation, "_assemble_fits", flagged)
+    return calls
+
+
+@pytest.mark.parametrize("rep", range(6))
+def test_exact_fit_makes_one_engine_call(monkeypatch, rep):
+    # the incumbents are scored without the engine, the survivors and the
+    # incumbent's segments are solved together, and the chosen segments'
+    # fits are taken from that solve
+    spec, config = table_preset(4)
+    ds = replication_dataset(spec, rep)
+    calls = _count_engine_calls(monkeypatch)
+    optimal_breakpoints(ds, 2, config)
+    assert calls == {"pair_costs": 1, "batch_cd": 1, "in_assemble": 0}
+
+
+@pytest.mark.parametrize("config", FAMILIES_WITH_BRIDGE, ids=FAMILY_IDS_WITH_BRIDGE)
+def test_reported_fits_are_the_engine_rows(monkeypatch, config):
+    # Each reported fit's coefficients before the zero clamp are the bits
+    # the engine gives that segment solved alone: the record's row does
+    # not depend on the segments it was solved with.
+    reported = []
+    report = segmentation._report_fit
+
+    def recording(dataset, rng, phi, weights, cfg):
+        reported.append((rng, phi.copy()))
+        return report(dataset, rng, phi, weights, cfg)
+
+    monkeypatch.setattr(segmentation, "_report_fit", recording)
+    spec, _ = table_preset(1)
+    samples = [replication_dataset(spec, rep) for rep in range(2)]
+    if config is BRIDGE:  # the concave bridge is slow on the preset's dense table
+        samples = [_two_regimes(n=30, p=2, b=12, seed=3)]
+    for ds in samples:
+        for k in range(4):
+            optimal_breakpoints(ds, k, config)
+            if k:
+                refit_breakpoints_two_stage(ds, k, config, grid_step=5)
+        select_k(ds, config, CriterionConfig(k_max=3))
+        select_k(ds, config, CriterionConfig(k_max=3), grid_step=5)
+        stats = _cumulative_stats(ds)
+        for rng, phi in reported:
+            pair = np.array([[rng.start, rng.end]])
+            alone = segmentation._pair_costs(ds, stats, pair, config)[1][0]
+            assert np.array_equal(phi, alone), rng
+        reported.clear()
+
+
+def _without_window_bound(monkeypatch, run):
+    """``run()`` with every position of every refinement window solved."""
+    bound = segmentation._window_positions
+    monkeypatch.setattr(
+        segmentation, "_window_positions", lambda solved, a, ts, c, total: np.ones(len(ts), bool)
+    )
+    try:
+        return run()
+    finally:
+        monkeypatch.setattr(segmentation, "_window_positions", bound)
+
+
+def _outcome(run):
+    """Breakpoints and score of ``run()``, or the type and text of its error."""
+    try:
+        fit = run()
+    except NoConvergenceError as exc:
+        return type(exc), str(exc)
+    return fit.breakpoints, fit.total_score
+
+
+@pytest.mark.parametrize("layout", [1, 2, 3])
+@pytest.mark.parametrize("config", FAMILIES, ids=FAMILY_IDS)
+def test_pruned_refinement_windows_match_full_windows(monkeypatch, layout, config):
+    # Positions whose bound exceeds the current total cannot lower it, so
+    # dropping them leaves every move, and every fit, as it was.  Under the
+    # plain lasso some fits raise NoConvergenceError; they must raise the
+    # same error with the windows whole.
+    ds = replication_dataset(table_preset(layout)[0], 0)
+    cases = [(k, step) for k in (1, 2, 3) for step in (2, 5, 10)]
+
+    def fits():
+        return [_outcome(lambda: refit_breakpoints_two_stage(ds, k, config, grid_step=step))
+                for k, step in cases]
+
+    assert fits() == _without_window_bound(monkeypatch, fits)
+
+
 def _record_table_calls(monkeypatch):
     """List that receives, for each ``_pruned_cost_table`` call, its nodes,
     whether it raised InfeasiblePartitionError and the rows it solved."""
@@ -496,8 +670,6 @@ def _assert_bound_holds(ds, config, min_len, informative=True):
         assert np.mean(bounds > 0.0) > 0.5
 
 
-FAMILIES = [ADAPTIVE, LASSO, RIDGE, LEAST_SQUARES]
-FAMILY_IDS = ["adaptive", "lasso", "ridge", "least-squares"]
 
 
 def _length_p_design():

@@ -26,6 +26,7 @@ from segbreak import (
     refit_breakpoints_two_stage,
     segment_cost,
     segment_ranges,
+    select_k,
 )
 from segbreak import solvers
 from segbreak.simulation import replication_dataset, table_preset
@@ -494,6 +495,42 @@ class TestSegmentCostMatchesSearch:
             X, y = ds.X[a:b], ds.y[a:b]
             r = y - X @ np.linalg.lstsq(X, y, rcond=None)[0]
             assert cost == pytest.approx(r @ r, rel=0.0, abs=1e-9), (a, b)
+
+    def test_rank_deficient_stretch_takes_few_batched_solves(self, monkeypatch):
+        # A column that is zero over the first half leaves the 10,731
+        # admissible segments inside it without a Gram solve; their rows are
+        # fitted by one SVD per segment length, not one lstsq per segment.
+        rng = np.random.default_rng(0)
+        n, p = 300, 4
+        X = rng.standard_normal((n, p))
+        X[:150, 3] = 0.0
+        y = X @ np.array([1.0, -1.0, 0.5, 2.0]) + rng.standard_normal(n)
+        y[150:] += 2.0 * X[150:, 0]
+        ds = Dataset(y=y, X=X)
+        config = PenaltyConfig(family="lasso_type", gamma=1.0, lambda_scale=0.0)
+        calls = []
+
+        def counted(name):
+            original = getattr(np.linalg, name)
+
+            def counting(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+
+        counted("lstsq")
+        counted("svd")
+        result = select_k(ds, config, CriterionConfig(k_max=2, min_seg_len=5))
+        monkeypatch.undo()
+        assert "lstsq" not in calls
+        assert len(calls) <= 150, len(calls)  # one per length from 5 to 150 at most
+        assert result.rows[1].breakpoints == (151,)
+        # the batched fits are the minimum-norm ones of the rows
+        pairs = np.array([(a, b) for a in range(0, 146, 7) for b in range(a + 5, 151, 11)])
+        for cost, (a, b) in zip(pair_costs(ds, pairs, config), pairs):
+            r = y[a:b] - X[a:b] @ np.linalg.lstsq(X[a:b], y[a:b], rcond=None)[0]
+            assert cost == pytest.approx(r @ r, rel=1e-9, abs=1e-9), (a, b)
 
 
 class TestCostTable:
