@@ -397,6 +397,26 @@ _SCENARIO_KEYS = {
 }
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_integer(value) -> bool:
+    return _is_number(value) and (isinstance(value, int) or value.is_integer())
+
+
+# What the values of these scenario keys must be; ScenarioSpec would
+# otherwise truncate them or fail with a bare TypeError.
+_SCENARIO_TYPES = {
+    "n": (_is_integer, "an integer"),
+    "breakpoints": (lambda v: isinstance(v, list) and all(map(_is_integer, v)),
+                    "a list of integers"),
+    "error_std": (_is_number, "a number"),
+    "error_df": (lambda v: v is None or _is_number(v), "a number or null"),
+    "seed": (lambda v: v is None or _is_integer(v), "an integer or null"),
+}
+
+
 def _load_scenario_file(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -414,6 +434,9 @@ def _load_scenario_file(path: str) -> dict:
     for key in ("n", "breakpoints", "coefficients"):
         if key not in data:
             raise CliInputError(f"{path}: scenario file is missing {key!r}")
+    for key, (valid, kind) in _SCENARIO_TYPES.items():
+        if key in data and not valid(data[key]):
+            raise CliInputError(f"{path}: {key!r} must be {kind}, got {data[key]!r}")
     return data
 
 
@@ -567,10 +590,11 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="worker processes (default: available parallelism)",
     )
-    sim.add_argument("--fixed-k", type=int, default=None,
-                     help="breakpoint count to fit (default: the true count)")
-    sim.add_argument("--select", action="store_true",
-                     help="select K per replication instead of fixing it")
+    mode = sim.add_mutually_exclusive_group()
+    mode.add_argument("--fixed-k", type=int, default=None,
+                      help="breakpoint count to fit (default: the true count)")
+    mode.add_argument("--select", action="store_true",
+                      help="select K per replication instead of fixing it")
     _add_criterion_args(sim)
     _add_penalty_args(sim)
     sim.add_argument("--out", default=None)

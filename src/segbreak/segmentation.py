@@ -14,13 +14,13 @@ length.  ``_chunk_costs`` is the one place that solves each penalty
 family: ``solvers._batch_cd`` on a whole stack of segment problems at
 once for the lasso family, the ridge closed form, the batched concave
 bridge, and the smooth bridge exponents (gamma > 1 other than 2) one
-problem at a time.  A search solves through its ``_Solved`` record, which
-solves each segment at most once and keeps its fit, so the reported fits
-of the chosen segments are taken from the search's own solves, checked
-against the rows (``_report_fit``); ``segment_cost`` runs the engine on a
-stack of one.  ``select_k`` solves every admissible segment once for all
-K.  A single K-break search (``optimal_breakpoints`` over every sample
-position, the coarse grid of the approximate
+problem at a time.  Every search step takes the search's ``_Search``,
+whose record solves each segment at most once and keeps its fit, so the
+reported fits of the chosen segments are taken from the search's own
+solves, checked against the rows (``_report_fit``); ``segment_cost`` runs
+the engine on a stack of one.  ``select_k`` solves every admissible
+segment once for all K.  A single K-break search (``optimal_breakpoints``
+over every sample position, the coarse grid of the approximate
 ``refit_breakpoints_two_stage``) instead keeps a list of segments:
 least-squares lower bounds, on blocks of segments and then on single
 segments, measured against an incumbent scored at its least-squares fit,
@@ -332,9 +332,10 @@ def _chunk_costs(dataset, pairs, G, b, yy, config):
     return solvers.gram_objective(G, b, yy, lam, phi, weights=w), phi, w, fallback
 
 
-class _Solved(tuple):
-    """The cumulative statistics of one search, as ``_cumulative_stats``
-    gives them, with the record of the segments the search has solved.
+class _Search:
+    """One search: its dataset, ``config`` and ``min_len``, the dataset's
+    ``_cumulative_stats``, the ``slack`` of its bounds and pruning tests,
+    and the record of the segments it has solved.
 
     Each solved segment's cost, coefficients, adaptive weights and
     fallback flag (``_pair_costs``'s four outputs) are kept in arrays,
@@ -345,12 +346,12 @@ class _Solved(tuple):
     solve.
     """
 
-    def __new__(cls, dataset: Dataset, config: PenaltyConfig, stats=None):
-        self = super().__new__(cls, _cumulative_stats(dataset) if stats is None else stats)
-        self.dataset, self.config = dataset, config
+    def __init__(self, dataset: Dataset, config: PenaltyConfig, min_len: int):
+        self.dataset, self.config, self.min_len = dataset, config, min_len
+        self.stats = _cumulative_stats(dataset)
+        self.slack = _BOUND_SLACK * float(self.stats[2][-1])
         self.key = np.empty(0, dtype=np.int64)
         self.cost = self.coefs = self.w = self.fallback = None
-        return self
 
     def rows(self, starts, ends) -> np.ndarray:
         """Record rows of the segments (starts[m], ends[m]], solving the
@@ -365,7 +366,7 @@ class _Solved(tuple):
         del key, at, known  # a dense table's index arrays would add to its peak
         if self.cost is None or len(new):  # the first call sets the arrays up
             fits = _pair_costs(
-                self.dataset, self, np.column_stack(np.divmod(new, n1)), self.config
+                self.dataset, self.stats, np.column_stack(np.divmod(new, n1)), self.config
             )
             if self.cost is None:
                 self.key, (self.cost, self.coefs, self.w, self.fallback) = new, fits
@@ -414,6 +415,18 @@ def build_cost_table(
 # ---------------------------------------------------------------------------
 # dynamic programming
 
+def _least_chains(i, j, cost, n_nodes: int, stages: int, end: int) -> np.ndarray:
+    """Entry [s, x]: the least ``cost`` total of s listed segments (m from
+    node ``i[m]`` to ``j[m]``) chained from node x to node ``end``, +inf if
+    none, for s = 0 .. ``stages``.  With ``i`` and ``j`` swapped the chains
+    run from ``end`` to x; IEEE addition commutes, so no candidate changes."""
+    best = np.full((stages + 1, n_nodes), np.inf)
+    best[0, end] = 0.0
+    for s in range(1, stages + 1):
+        np.minimum.at(best[s], i, cost + best[s - 1][j])
+    return best
+
+
 def _dp_minimize(i, j, cost, n_nodes: int, k: int):
     """Minimize the K-break score over a list of segments.
 
@@ -424,11 +437,7 @@ def _dp_minimize(i, j, cost, n_nodes: int, k: int):
     smallest vector: the reconstruction takes the smallest end node whose
     candidate equals the exact float minimum of the backward pass.
     """
-    # best[s, x]: least cost of s segments from node x to the last node
-    best = np.full((k + 2, n_nodes), np.inf)
-    best[0, -1] = 0.0
-    for stage in range(1, k + 2):
-        np.minimum.at(best[stage], i, cost + best[stage - 1][j])
+    best = _least_chains(i, j, cost, n_nodes, k + 1, -1)
     total = best[k + 1][0]
     if not np.isfinite(total):
         raise InfeasiblePartitionError(f"no admissible placement of {k} breakpoints")
@@ -499,13 +508,8 @@ def _least_through(i, j, cost, n_nodes: int, k: int) -> np.ndarray:
     segments that uses segment m; +inf where no such partition exists.
     """
     # fwd[s, x]: s segments from node 0 to x; bwd[s, x]: s segments from x to the end
-    fwd = np.full((k + 1, n_nodes), np.inf)
-    bwd = np.full((k + 1, n_nodes), np.inf)
-    fwd[0, 0] = 0.0
-    bwd[0, -1] = 0.0
-    for s in range(1, k + 1):
-        np.minimum.at(fwd[s], j, fwd[s - 1][i] + cost)
-        np.minimum.at(bwd[s], i, cost + bwd[s - 1][j])
+    fwd = _least_chains(j, i, cost, n_nodes, k, 0)
+    bwd = _least_chains(i, j, cost, n_nodes, k, -1)
     through = np.full(len(cost), np.inf)
     for s in range(k + 1):
         np.minimum(through, fwd[s][i] + bwd[k - s][j], out=through)
@@ -559,7 +563,7 @@ def _block_bounds(stats, first, last, i, j, slack: float) -> np.ndarray:
     return out
 
 
-def _incumbent_costs(dataset: Dataset, stats, pairs, config: PenaltyConfig) -> np.ndarray:
+def _incumbent_costs(search: _Search, pairs) -> np.ndarray:
     """Attained objective of each segment in ``pairs`` without a solve.
 
     Each segment's least-squares fit (``_least_squares``) is scored with the
@@ -569,9 +573,10 @@ def _incumbent_costs(dataset: Dataset, stats, pairs, config: PenaltyConfig) -> n
     segment's objective at a point, so each is at least its minimum, up
     to the tolerance of the solver that computes that minimum.
     """
+    config = search.config
     out = np.empty(len(pairs))
-    for sl, G, b, yy in _segment_stacks(stats, pairs):
-        phi, full = _least_squares(dataset, pairs[sl], G, b)
+    for sl, G, b, yy in _segment_stacks(search.stats, pairs):
+        phi, full = _least_squares(search.dataset, pairs[sl], G, b)
         lam = config.lambda_scale * (pairs[sl, 1] - pairs[sl, 0]).astype(np.float64) ** config.rho
         if config.family == FAMILY_ADAPTIVE:
             w = np.ones(phi.shape)
@@ -584,8 +589,7 @@ def _incumbent_costs(dataset: Dataset, stats, pairs, config: PenaltyConfig) -> n
     return out
 
 
-def _survivors(dataset: Dataset, stats, k: int, config: PenaltyConfig, min_seg_len: int,
-               nodes, upper=None):
+def _survivors(search: _Search, k: int, nodes, upper=None):
     """The bound-and-prune passes of the pruned search over ``nodes``.
 
     Returns ``(i, j, upper, incumbent)``: the surviving segments as node
@@ -595,7 +599,6 @@ def _survivors(dataset: Dataset, stats, k: int, config: PenaltyConfig, min_seg_l
     pass has one).  ``optimal_breakpoints`` gives the rules.
     """
     end = len(nodes) - 1  # index of the last node
-    slack = _BOUND_SLACK * float(stats[2][-1])
     scoring, incumbent = upper is None, None
     if scoring:
         upper = np.inf
@@ -606,19 +609,19 @@ def _survivors(dataset: Dataset, stats, k: int, config: PenaltyConfig, min_seg_l
         first, last = _blocks(end, size)
         first_at, last_at = nodes[first], nodes[last]
         i, j = _pairs_inside(i, j, -(-outer // size), len(first))
-        fits = last_at[j] - first_at[i] >= min_seg_len
+        fits = last_at[j] - first_at[i] >= search.min_len
         on_path = np.isfinite(_least_through(i, j, np.where(fits, 0.0, np.inf), len(first), k))
         i, j = i[on_path], j[on_path]
         if not len(i):
             if outer > end:  # nothing is pruned yet
                 raise InfeasiblePartitionError(f"no admissible placement of {k} breakpoints")
             break  # U lies below every partition left, which the certificate mends
-        lower = _block_bounds(stats, first_at, last_at, i, j, slack)
+        lower = _block_bounds(search.stats, first_at, last_at, i, j, search.slack)
 
         if scoring:
             # incumbent: the bound-optimal partition on the block starts
             grid = np.append(first[:-1], end)
-            fits = nodes[grid[j]] - nodes[grid[i]] >= min_seg_len
+            fits = nodes[grid[j]] - nodes[grid[i]] >= search.min_len
             try:
                 _, picked = _dp_minimize(i[fits], j[fits], lower[fits], len(first), k)
             except InfeasiblePartitionError:
@@ -626,50 +629,46 @@ def _survivors(dataset: Dataset, stats, k: int, config: PenaltyConfig, min_seg_l
             else:
                 ends = grid[[0, *picked, -1]]
                 at = np.column_stack([nodes[ends[:-1]], nodes[ends[1:]]])
-                score = _incumbent_costs(dataset, stats, at, config).sum()
+                score = _incumbent_costs(search, at).sum()
                 if score < upper:
                     upper, incumbent = score, ends
-        keep = _least_through(i, j, lower, len(first), k) <= upper + slack
+        keep = _least_through(i, j, lower, len(first), k) <= upper + search.slack
         i, j, outer = i[keep], j[keep], size
     return i, j, upper, incumbent
 
 
-def _pruned_cost_table(
-    dataset: Dataset, solved, k: int, config: PenaltyConfig, min_seg_len: int, nodes=None
-):
+def _pruned_cost_table(search: _Search, k: int, nodes):
     """Segments of the exact K-break search over ``nodes`` (increasing
-    sample positions from 0 to n, all by default), solved only where needed.
+    sample positions from 0 to n), solved only where needed.
 
-    ``solved`` is the search's ``_Solved`` record; the survivors of
-    pruning and the incumbent's segments are solved in one call of it.
-    Returns ``(i, j, cost, n_nodes)`` as ``_dp_minimize`` takes them;
-    ``optimal_breakpoints`` gives the rules and the certificate.  Nodes
-    with no K-partition raise InfeasiblePartitionError.
+    The survivors of pruning and the incumbent's segments are solved in
+    one call of the search's record.  Returns ``(i, j, cost, n_nodes)`` as
+    ``_dp_minimize`` takes them; ``optimal_breakpoints`` gives the rules
+    and the certificate.  Nodes with no K-partition raise
+    InfeasiblePartitionError.
     """
-    if nodes is None:
-        nodes = np.arange(dataset.n + 1)
     n_nodes = len(nodes)
-    i, j, upper, incumbent = _survivors(dataset, solved, k, config, min_seg_len, nodes)
+    i, j, upper, incumbent = _survivors(search, k, nodes)
     listed = i * n_nodes + j
     if incumbent is not None:
         listed = np.concatenate([listed, incumbent[:-1] * n_nodes + incumbent[1:]])
     i, j = np.divmod(_distinct(listed), n_nodes)
-    cost = solved.costs(nodes[i], nodes[j])
+    cost = search.costs(nodes[i], nodes[j])
     total, _ = _dp_minimize(i, j, cost, n_nodes, k)
-    if total > upper + _BOUND_SLACK * float(solved[2][-1]):
+    if total > upper + search.slack:
         # the solver attained more than U promised: prune again against the
         # attained total, and solve the new survivors
-        more_i, more_j, _, _ = _survivors(dataset, solved, k, config, min_seg_len, nodes, total)
+        more_i, more_j, _, _ = _survivors(search, k, nodes, total)
         i, j = np.divmod(_distinct(np.concatenate([i * n_nodes + j, more_i * n_nodes + more_j])),
                          n_nodes)
-        cost = solved.costs(nodes[i], nodes[j])
+        cost = search.costs(nodes[i], nodes[j])
     return i, j, cost, n_nodes
 
 
-def _assemble_fits(solved: _Solved, partitions, totals):
+def _assemble_fits(search: _Search, partitions, totals):
     """Fits of the breakpoint vectors in ``partitions``, taken from the
-    search's ``_Solved`` record, which solves (in one engine call) only
-    segments the search has not.
+    search's record, which solves (in one engine call) only segments the
+    search has not.
 
     Each segment is reported by ``_report_fit``, which checks a
     lasso-family fit for stationarity and recomputes its RSS and penalty
@@ -678,23 +677,23 @@ def _assemble_fits(solved: _Solved, partitions, totals):
     (from ``totals``, or the record's costs where that is None) within
     1e-9 relative.  Either failure raises ConsistencyError.
     """
-    dataset, config = solved.dataset, solved.config
+    dataset, config = search.dataset, search.config
     ranges = [segment_ranges(bp, dataset.n) for bp in partitions]
     pairs = np.array([(r.start, r.end) for rs in ranges for r in rs], dtype=np.int64)
-    rows = solved.rows(*pairs.reshape(-1, 2).T)
+    rows = search.rows(*pairs.reshape(-1, 2).T)
     out, m = [], 0
     for bp, rs, expected in zip(partitions, ranges, totals):
         fits = []
         for rng in rs:
             row = rows[m]
             weights = None
-            if solved.fallback is not None and not solved.fallback[row]:
-                weights = solved.w[row].copy()  # not a view that holds the record
-            fits.append(_report_fit(dataset, rng, solved.coefs[row], weights, config))
+            if search.fallback is not None and not search.fallback[row]:
+                weights = search.w[row].copy()  # not a view that holds the record
+            fits.append(_report_fit(dataset, rng, search.coefs[row], weights, config))
             m += 1
         total = float(sum(f.penalized_cost for f in fits))
         if expected is None:
-            expected = float(solved.cost[rows[m - len(rs) : m]].sum())
+            expected = float(search.cost[rows[m - len(rs) : m]].sum())
         if not abs(total - expected) <= 1e-9 * max(1.0, abs(expected)):
             raise ConsistencyError(
                 f"segment refit total {total!r} drifted from search total "
@@ -707,26 +706,23 @@ def _assemble_fits(solved: _Solved, partitions, totals):
     return out
 
 
-def _dense_fits(dataset: Dataset, ks, config: PenaltyConfig, min_seg_len: int) -> dict:
-    """Exact fits by K for the K in ``ks`` that are feasible: every
-    admissible segment is solved once, the dynamic program runs per K, and
-    the chosen segments' fits are taken from the same solve."""
-    solved = _Solved(dataset, config)
-    i, j = np.triu_indices(dataset.n + 1, min_seg_len)
-    cost = solved.costs(i, j)
-    found = {}
-    for k in ks:
-        try:
-            found[k] = _dp_minimize(i, j, cost, dataset.n + 1, k)
-        except InfeasiblePartitionError:
-            pass
+def _dense_fits(search: _Search, ks) -> dict:
+    """Exact fits by K for the feasible K in ``ks``: every admissible
+    segment is solved once, the dynamic program runs per K, and the chosen
+    segments' fits are taken from the same solve."""
+    n_nodes = search.dataset.n + 1
+    i, j = np.triu_indices(n_nodes, search.min_len)
+    cost = search.costs(i, j)
+    found = {k: _dp_minimize(i, j, cost, n_nodes, k) for k in ks}
     fits = _assemble_fits(
-        solved, [nodes for _, nodes in found.values()], [total for total, _ in found.values()]
+        search, [nodes for _, nodes in found.values()], [total for total, _ in found.values()]
     )
     return dict(zip(found, fits))
 
 
 def _check_feasible(n: int, k: int, min_seg_len: int):
+    if k < 0:
+        raise ValueError("k must be >= 0")
     if (k + 1) * min_seg_len > n:
         raise InfeasiblePartitionError(
             f"{k + 1} segments of length >= {min_seg_len} do not fit in "
@@ -734,14 +730,11 @@ def _check_feasible(n: int, k: int, min_seg_len: int):
         )
 
 
-def _search_min_len(dataset: Dataset, k: int, config, criterion) -> int:
-    """Check a K-break search request and return its minimum segment length."""
+def _checked_search(dataset: Dataset, config: PenaltyConfig, criterion) -> _Search:
+    """The ``_Search`` of a request on a checked dataset; each K-break fit
+    checks its K (``_check_feasible``)."""
     validate_dataset(dataset)
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    min_len = effective_min_seg_len(config, criterion, dataset.p)
-    _check_feasible(dataset.n, k, min_len)
-    return min_len
+    return _Search(dataset, config, effective_min_seg_len(config, criterion, dataset.p))
 
 
 def optimal_breakpoints(
@@ -749,18 +742,12 @@ def optimal_breakpoints(
     k: int,
     config: PenaltyConfig,
     criterion: CriterionConfig | None = None,
-    *,
-    cost_table: np.ndarray | None = None,
 ) -> ChangePointFit:
     """Exact K-break minimizer of the segment-cost sum.
 
     Dynamic programming over a list of admissible segments; ties between
     score-equal breakpoint vectors resolve to the lexicographically
-    smallest one.  A precomputed ``cost_table`` (from ``build_cost_table``
-    with the same config and minimum segment length) can be supplied to
-    amortize the table across several K values; its finite entries are the list.
-
-    Without one, only the segments that can lie on an optimal partition
+    smallest one.  Only the segments that can lie on an optimal partition
     are listed and solved.  The work runs coarse to fine: first on s x s
     blocks of (start, end) pairs, block i holding the nodes
     ``i*s .. i*s + s - 1``, with s about sqrt(n) / 2 (s = 1, the
@@ -790,13 +777,13 @@ def optimal_breakpoints(
        dropped, with every segment in them.
 
     Then the surviving segments and those of the incumbent that set U are
-    solved, in one engine call of the search's ``_Solved`` record, and the
-    program runs over them.  U bounds the optimum only up to the solver's
-    tolerance, so it is certified: if the program's total exceeds U plus
-    the slack, every pass is run again against that total (an attained
-    score) instead of U, and the new survivors are solved before the
-    program runs again.  The chosen segments' fits are then taken from the
-    record, so the common fit makes one engine call.
+    solved, in one engine call of the record of the search (``_Search``),
+    and the program runs over them.  U bounds the optimum only up to the
+    solver's tolerance, so it is certified: if the program's total exceeds
+    U plus the slack, every pass is run again against that total (an
+    attained score) instead of U, and the new survivors are solved before
+    the program runs again.  The chosen segments' fits are then taken from
+    the record, so the common fit makes one engine call.
     ``refit_breakpoints_two_stage`` runs the same passes over its grid's
     nodes, on which nothing below depends.
 
@@ -811,23 +798,15 @@ def optimal_breakpoints(
     the dense search.  Solver failures surface only from the segments
     actually solved.
     """
-    min_len = _search_min_len(dataset, k, config, criterion)
-    solved = _Solved(dataset, config)
-    if cost_table is None:
-        return _exact_fit(solved, k, min_len)
-    if cost_table.shape != (dataset.n + 1,) * 2 or not (cost_table > -np.inf).all():
-        raise ValueError("cost_table must be (n+1) x (n+1) and hold no NaN or -inf")
-    i, j = np.nonzero(np.isfinite(cost_table))
-    total, nodes = _dp_minimize(i, j, cost_table[i, j], dataset.n + 1, k)
-    return _assemble_fits(solved, [nodes], [total])[0]
+    return _exact_fit(_checked_search(dataset, config, criterion), k)
 
 
-def _exact_fit(solved: _Solved, k: int, min_len: int) -> ChangePointFit:
-    """The pruned exact K-break fit of ``optimal_breakpoints``, solving
-    through the record ``solved``."""
-    dataset, config = solved.dataset, solved.config
-    total, nodes = _dp_minimize(*_pruned_cost_table(dataset, solved, k, config, min_len), k)
-    return _assemble_fits(solved, [nodes], [total])[0]
+def _exact_fit(search: _Search, k: int) -> ChangePointFit:
+    """The pruned exact K-break fit of ``optimal_breakpoints``."""
+    _check_feasible(search.dataset.n, k, search.min_len)
+    nodes = np.arange(search.dataset.n + 1)
+    total, picked = _dp_minimize(*_pruned_cost_table(search, k, nodes), k)
+    return _assemble_fits(search, [picked], [total])[0]
 
 
 def refit_breakpoints_two_stage(
@@ -858,30 +837,25 @@ def refit_breakpoints_two_stage(
     """
     if grid_step < 1:
         raise ValueError("grid_step must be >= 1")
-    min_len = _search_min_len(dataset, k, config, criterion)
-    return _two_stage_fit(_Solved(dataset, config), k, min_len, grid_step)
+    return _two_stage_fit(_checked_search(dataset, config, criterion), k, grid_step)
 
 
-def _two_stage_fit(solved: _Solved, k: int, min_len: int, grid_step: int) -> ChangePointFit:
-    """``refit_breakpoints_two_stage`` of K with the minimum segment length
-    ``min_len``, solving through the record ``solved``, which a caller may
-    share across K."""
-    dataset, config = solved.dataset, solved.config
-    _check_feasible(dataset.n, k, min_len)
+def _two_stage_fit(search: _Search, k: int, grid_step: int) -> ChangePointFit:
+    """``refit_breakpoints_two_stage`` of K on ``search``, which a caller
+    may share across K."""
+    n, min_len = search.dataset.n, search.min_len
+    _check_feasible(n, k, min_len)
     if grid_step == 1:
-        return _exact_fit(solved, k, min_len)
+        return _exact_fit(search, k)
     if k == 0:
-        return _assemble_fits(solved, [()], [None])[0]
+        return _assemble_fits(search, [()], [None])[0]
 
-    n = dataset.n
     step = grid_step
     while True:
         interior = [t for t in range(step, n, step) if min_len <= t <= n - min_len]
         nodes = np.array([0, *interior, n], dtype=np.int64)
         try:
-            _, picked = _dp_minimize(
-                *_pruned_cost_table(dataset, solved, k, config, min_len, nodes), k
-            )
+            _, picked = _dp_minimize(*_pruned_cost_table(search, k, nodes), k)
             break
         except InfeasiblePartitionError:
             if step == 1:
@@ -895,10 +869,10 @@ def _two_stage_fit(solved: _Solved, k: int, min_len: int, grid_step: int) -> Cha
             a, t, c = bounds[r - 1 : r + 2]
             lo, hi = max(a + min_len, t - grid_step), min(c - min_len, t + grid_step)
             ts = np.arange(lo, hi + 1)
-            kept = _window_positions(solved, a, ts, c, solved.costs([a, t], [t, c]).sum())
+            kept = _window_positions(search, a, ts, c, search.costs([a, t], [t, c]).sum())
             kept[t - lo] = True
             ts_kept = ts[kept]
-            costs = solved.costs(
+            costs = search.costs(
                 np.concatenate([np.full_like(ts_kept, a), ts_kept]),
                 np.concatenate([ts_kept, np.full_like(ts_kept, c)]),
             )
@@ -910,17 +884,16 @@ def _two_stage_fit(solved: _Solved, k: int, min_len: int, grid_step: int) -> Cha
                 moved = True
         if not moved:
             break
-    return _assemble_fits(solved, [bounds[1:-1]], [None])[0]
+    return _assemble_fits(search, [bounds[1:-1]], [None])[0]
 
 
-def _window_positions(solved: _Solved, a: int, ts, c: int, total: float) -> np.ndarray:
+def _window_positions(search: _Search, a: int, ts, c: int, total: float) -> np.ndarray:
     """Mask of the positions t in ``ts`` whose segments (a, t] and (t, c]
     may cost ``total`` or less: the sum of their ``_rss_bounds`` is at most
     ``total`` plus the slack of ``optimal_breakpoints``.  A position off
     the mask costs more than ``total``."""
-    slack = _BOUND_SLACK * float(solved[2][-1])
-    lower = _rss_bounds(solved, np.concatenate([
+    lower = _rss_bounds(search.stats, np.concatenate([
         np.column_stack([np.full_like(ts, a), ts]),
         np.column_stack([ts, np.full_like(ts, c)]),
-    ]), slack)
-    return lower[: len(ts)] + lower[len(ts) :] <= total + slack
+    ]), search.slack)
+    return lower[: len(ts)] + lower[len(ts) :] <= total + search.slack

@@ -36,11 +36,10 @@ from .model import (
     CriterionConfig,
     Dataset,
     PenaltyConfig,
-    effective_min_seg_len,
     segment_ranges,
     validate_dataset,
 )
-from .segmentation import _Solved, _dense_fits, _two_stage_fit
+from .segmentation import _checked_search, _dense_fits, _two_stage_fit
 from .solvers import _GRAM_COND_FLOOR
 
 _SCORE_FLOOR = 1e-300
@@ -102,30 +101,25 @@ def select_k(
     Ties within 1e-12 relative resolve toward the smaller K.  Infeasible K
     values (minimum segment length times K+1 exceeding n) are recorded in
     the table and skipped; if every K is infeasible the error propagates.
-    The default exact search solves every admissible segment once, and the
-    fits of every K come from that one solve.  With ``grid_step``, each K
-    runs ``refit_breakpoints_two_stage`` on the same cumulative statistics,
-    and a segment solved for one K is not solved again for another.
+    Every feasible K is fitted before any criterion value is computed,
+    through one search (``segmentation._Search``), so no segment is solved
+    twice.  The default exact search solves every admissible segment once,
+    and the fits of every K come from that one solve.  With ``grid_step``,
+    each K runs ``refit_breakpoints_two_stage`` on that search.
     """
-    validate_dataset(dataset)
-    min_len = effective_min_seg_len(penalty, criterion, dataset.p)
-    ks = range(criterion.k_max + 1)
-    if grid_step is None:
-        exact = _dense_fits(dataset, ks, penalty, min_len)
-    elif grid_step < 1:
+    search = _checked_search(dataset, penalty, criterion)
+    if grid_step is not None and grid_step < 1:
         raise ValueError("grid_step must be >= 1")
+    ks = range(criterion.k_max + 1)
+    feasible = [k for k in ks if (k + 1) * search.min_len <= dataset.n]
+    if grid_step is None:
+        fits = _dense_fits(search, feasible)
     else:
-        solved = _Solved(dataset, penalty)
+        fits = {k: _two_stage_fit(search, k, grid_step) for k in feasible}
     rows = []
     best = None  # (value, k, fit)
     for k in ks:
-        if grid_step is None:
-            fit = exact.get(k)
-        else:
-            try:
-                fit = _two_stage_fit(solved, k, min_len, grid_step)
-            except InfeasiblePartitionError:
-                fit = None
+        fit = fits.get(k)
         if fit is None:
             rows.append(SelectionRow(k, False, None, None, None))
             continue
@@ -142,7 +136,7 @@ def select_k(
     if best is None:
         raise InfeasiblePartitionError(
             f"no K in 0..{criterion.k_max} admits segments of length "
-            f">= {min_len} in {dataset.n} samples"
+            f">= {search.min_len} in {dataset.n} samples"
         )
     return SelectionResult(k_hat=best[1], rows=tuple(rows), best_fit=best[2])
 

@@ -30,6 +30,7 @@ from segbreak import (
     table_preset,
 )
 from segbreak.cli import main as cli_main
+from segbreak.segmentation import _Search, _assemble_fits, _dp_minimize
 from segbreak.simulation import REGIME_COEFFICIENTS, default_covariate_means
 
 
@@ -238,9 +239,11 @@ def test_criterion_6_dp_matches_enumeration():
                 best_total, best_bps = total, bps
 
         # the search over the dense table, and the pruned search on its own
+        i, j = np.nonzero(np.isfinite(table))
+        dp_total, nodes = _dp_minimize(i, j, table[i, j], n + 1, k)
+        dense = _assemble_fits(_Search(ds, config, min_len), [nodes], [dp_total])[0]
         mismatch = _enumeration_mismatch(
-            trial, "dp", optimal_breakpoints(ds, k, config, crit, cost_table=table),
-            best_bps, best_total,
+            trial, "dp", dense, best_bps, best_total,
         ) or _enumeration_mismatch(
             trial, "pruned", optimal_breakpoints(ds, k, config, crit),
             best_bps, best_total,

@@ -324,6 +324,34 @@ class TestSimulate:
         assert code == 2
         assert "coefficients" in err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("breakpoints", 5), ("breakpoints", [20.5]), ("error_std", "a"), ("error_std", None)],
+        ids=["breakpoints-int", "breakpoints-fraction", "error-std-string", "error-std-null"],
+    )
+    def test_scenario_value_of_wrong_type(self, capsys, scenario_file, tmp_path, key, value):
+        # these crashed with a bare TypeError, or truncated 20.5 to 20
+        doc = json.loads(open(scenario_file).read())
+        doc[key] = value
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = _run(
+            capsys, ["simulate", "--scenario", str(path), "--reps", "2", "--workers", "1"]
+        )
+        assert code == 2
+        assert str(path) in err and repr(key) in err
+
+    def test_select_rejects_fixed_k(self, capsys):
+        # the selection study used to run and report "fixed_k": null
+        code, out, err = _run(
+            capsys,
+            ["simulate", "--table", "1", "--select", "--fixed-k", "2", "--reps", "2",
+             "--workers", "1"],
+        )
+        assert code == 2
+        assert out == ""
+        assert "--fixed-k" in err
+
 
 class TestSeedResolution:
     def _seed_of(self, capsys, argv):

@@ -1,9 +1,9 @@
 """Bound-based pruning of the exact search: same answer as the dense table.
 
-``optimal_breakpoints`` without a ``cost_table``, and the coarse grid of
-``refit_breakpoints_two_stage``, solve only the segments whose least-squares
-lower bound leaves them a chance of lying on an optimal partition; the
-search bounds blocks of segments first and refines the blocks that survive.
+``optimal_breakpoints``, and the coarse grid of ``refit_breakpoints_two_stage``,
+solve only the segments whose least-squares lower bound leaves them a chance
+of lying on an optimal partition; the search bounds blocks of segments first
+and refines the blocks that survive.
 These tests hold both searches to their dense counterparts bit for bit
 (the full table, and the grid with every admissible segment solved), also
 at forced small block sizes, hold the exact ``select_k``, which takes the
@@ -15,8 +15,9 @@ and pin the typed consistency error that replaced the runtime asserts (it
 must fire under ``python -O`` too).  They also hold the searches exact
 when the least-squares incumbents are scored below the optimum (the
 certificate must catch it), count the engine calls of an exact fit, hold
-each reported fit to the engine's row of its segment, and hold the
-bound-pruned refinement windows to whole ones.
+each reported fit to the engine's row of its segment, hold the
+bound-pruned refinement windows to whole ones, and hold ``select_k`` to one
+solve per segment in either mode.
 """
 
 import subprocess
@@ -49,6 +50,8 @@ from segbreak import (
 from segbreak import segmentation, selection
 from segbreak.segmentation import (
     _BOUND_SLACK,
+    _Search,
+    _assemble_fits,
     _block_bounds,
     _blocks,
     _cumulative_stats,
@@ -81,6 +84,17 @@ def _dense_table(ds, config, min_len=None):
     return build_cost_table(ds, config, min_len)
 
 
+def _dense_fit(ds, k, config, table, min_len=None):
+    """The dense reference search: ``_dp_minimize`` over every finite entry
+    of ``table`` (``build_cost_table``'s), with the chosen segments' fits
+    reported by ``_assemble_fits``."""
+    if min_len is None:
+        min_len = effective_min_seg_len(config, None, ds.p)
+    i, j = np.nonzero(np.isfinite(table))
+    total, nodes = _dp_minimize(i, j, table[i, j], ds.n + 1, k)
+    return _assemble_fits(_Search(ds, config, min_len), [nodes], [total])[0]
+
+
 def _each_block_size(monkeypatch):
     """Yield the forced block size, None under the rule, with each in force."""
     rule = segmentation._block_size
@@ -104,7 +118,7 @@ def _assert_same_exact(monkeypatch, ds, ks, config, min_len=None):
     returns the dense table and the dense fits by K."""
     crit = None if min_len is None else CriterionConfig(min_seg_len=min_len)
     table = _dense_table(ds, config, min_len)
-    dense = {k: optimal_breakpoints(ds, k, config, crit, cost_table=table) for k in ks}
+    dense = {k: _dense_fit(ds, k, config, table, min_len) for k in ks}
     for size in _each_block_size(monkeypatch):
         for k in ks:
             pruned = optimal_breakpoints(ds, k, config, crit)
@@ -115,15 +129,15 @@ def _assert_same_exact(monkeypatch, ds, ks, config, min_len=None):
 
 def _assert_same_selection(monkeypatch, ds, config, min_len, table, dense):
     """``select_k``'s exact path, which solves one dense list of segments
-    and takes the fits of every K from one stack, against per-K
-    ``optimal_breakpoints`` on the dense ``table`` (``dense`` holds some
-    of those fits already): the same rows, breakpoints and ``k_hat``,
+    and takes the fits of every K from one stack, against the per-K
+    ``_dense_fit`` on ``table`` (``dense`` holds some of those fits
+    already): the same rows, breakpoints and ``k_hat``,
     each s_K within 1e-12 relative and the coefficients within 1e-10."""
     crit = CriterionConfig(k_max=max(dense), min_seg_len=min_len)
     for k in range(crit.k_max + 1):
         if k not in dense:
             try:
-                dense[k] = optimal_breakpoints(ds, k, config, crit, cost_table=table)
+                dense[k] = _dense_fit(ds, k, config, table, min_len)
             except InfeasiblePartitionError:
                 pass
     original = selection._dense_fits
@@ -133,7 +147,7 @@ def _assert_same_selection(monkeypatch, ds, config, min_len, table, dense):
         stacked.update(original(*args))
         return stacked
 
-    def per_k(dataset, ks, cfg, min_seg_len):
+    def per_k(search, ks):
         return {k: dense[k] for k in ks if k in dense}
 
     try:
@@ -177,10 +191,10 @@ def _with_dense_grid(monkeypatch, run):
     pruned = segmentation._pruned_cost_table
     tables = {}
 
-    def dense(dataset, stats, k, config, min_seg_len, nodes):
-        key = (min_seg_len, nodes.tobytes())
+    def dense(search, k, nodes):
+        key = (search.min_len, nodes.tobytes())
         if key not in tables:
-            tables[key] = _dense_grid_table(dataset, config, min_seg_len, nodes)
+            tables[key] = _dense_grid_table(search.dataset, search.config, search.min_len, nodes)
         return tables[key]
 
     monkeypatch.setattr(segmentation, "_pruned_cost_table", dense)
@@ -292,7 +306,7 @@ def test_tie_keeps_lexicographically_smallest(monkeypatch):
         totals = table[0, :] + table[:, n]
         tied = np.flatnonzero(totals == totals.min())
         assert tied.tolist() == [m, n - m]
-        dense = optimal_breakpoints(ds, 1, config, cost_table=table)
+        dense = _dense_fit(ds, 1, config, table)
         assert dense.breakpoints == (m,)
         _assert_same_search(monkeypatch, ds, (1,), config)
 
@@ -396,10 +410,10 @@ def _halve_incumbents(monkeypatch):
     survivors = segmentation._survivors
     repruned = []
 
-    def recording(dataset, stats, k, config, min_seg_len, nodes, upper=None):
+    def recording(search, k, nodes, upper=None):
         if upper is not None:
             repruned.append(upper)
-        return survivors(dataset, stats, k, config, min_seg_len, nodes, upper)
+        return survivors(search, k, nodes, upper)
 
     monkeypatch.setattr(segmentation, "_incumbent_costs", lambda *args: 0.5 * incumbent(*args))
     monkeypatch.setattr(segmentation, "_survivors", recording)
@@ -512,7 +526,7 @@ def _without_window_bound(monkeypatch, run):
     """``run()`` with every position of every refinement window solved."""
     bound = segmentation._window_positions
     monkeypatch.setattr(
-        segmentation, "_window_positions", lambda solved, a, ts, c, total: np.ones(len(ts), bool)
+        segmentation, "_window_positions", lambda search, a, ts, c, total: np.ones(len(ts), bool)
     )
     try:
         return run()
@@ -553,10 +567,10 @@ def _record_table_calls(monkeypatch):
     calls = []
     original = segmentation._pruned_cost_table
 
-    def recording(dataset, stats, k, config, min_seg_len, nodes):
+    def recording(search, k, nodes):
         before, infeasible = len(solved), False
         try:
-            return original(dataset, stats, k, config, min_seg_len, nodes)
+            return original(search, k, nodes)
         except InfeasiblePartitionError:
             infeasible = True
             raise
@@ -613,6 +627,24 @@ def test_pruned_grid_selection_matches_dense_grid(monkeypatch, layout):
     dense = _with_dense_grid(monkeypatch, selection)
     for size in _each_block_size(monkeypatch):
         assert selection() == dense, size
+
+
+@pytest.mark.parametrize("grid_step", [None, 5], ids=["exact", "grid-5"])
+@pytest.mark.parametrize("layout", [1, 2])
+def test_select_k_solves_each_segment_at_most_once(monkeypatch, layout, grid_step):
+    # every K of one select_k call draws on the same record of solved fits
+    seen = []
+    original = segmentation._pair_costs
+
+    def recording(dataset, stats, pairs, cfg):
+        seen.extend(map(tuple, pairs.tolist()))
+        return original(dataset, stats, pairs, cfg)
+
+    monkeypatch.setattr(segmentation, "_pair_costs", recording)
+    spec, config = table_preset(layout)
+    select_k(replication_dataset(spec, 0), config, CriterionConfig(k_max=3), grid_step=grid_step)
+    assert seen
+    assert len(set(seen)) == len(seen)
 
 
 def test_grid_without_a_partition_halves_its_step(monkeypatch):
@@ -832,32 +864,14 @@ def test_exact_fit_at_n5000_holds_no_dense_table():
         assert fit.total_score <= other * (1.0 + 1e-9), (fit.total_score, other)
 
 
-@pytest.mark.parametrize(
-    "bad_table",
-    [
-        lambda table: table[:41, :41],
-        lambda table: table[:, :40],
-        lambda table: np.full_like(table, np.nan),
-        lambda table: np.where(np.isfinite(table), table, -np.inf),
-    ],
-    ids=["41x41", "51x40", "all-nan", "minus-inf"],
-)
-def test_cost_table_of_wrong_shape_or_with_nan_raises(bad_table):
-    # Before the check, the first three raised ConsistencyError ("drifted"),
-    # a bare IndexError and InfeasiblePartitionError.
-    spec, config = table_preset(1)
-    ds = replication_dataset(spec, 0)
-    table = _dense_table(ds, config)
-    with pytest.raises(ValueError, match="cost_table"):
-        optimal_breakpoints(ds, 2, config, cost_table=bad_table(table))
-
-
 def test_refit_drift_raises_typed_error():
+    # the chosen segments' fits, held to half the total they attain
     spec, config = table_preset(1)
     ds = replication_dataset(spec, 0)
-    table = _dense_table(ds, config)
+    fit = optimal_breakpoints(ds, 2, config)
+    search = _Search(ds, config, effective_min_seg_len(config, None, ds.p))
     with pytest.raises(ConsistencyError, match="drifted"):
-        optimal_breakpoints(ds, 2, config, cost_table=0.5 * table)
+        _assemble_fits(search, [fit.breakpoints], [0.5 * fit.total_score])
 
 
 def test_refit_drift_raises_typed_error_under_optimize_flag():
@@ -866,11 +880,13 @@ def test_refit_drift_raises_typed_error_under_optimize_flag():
         "import sys\n"
         f"sys.path.insert(0, {str(src)!r})\n"
         "from segbreak import *\n"
+        "from segbreak.segmentation import _Search, _assemble_fits\n"
         "spec, config = table_preset(1)\n"
         "ds = replication_dataset(spec, 0)\n"
-        "table = build_cost_table(ds, config, effective_min_seg_len(config, None, ds.p))\n"
+        "fit = optimal_breakpoints(ds, 2, config)\n"
+        "search = _Search(ds, config, effective_min_seg_len(config, None, ds.p))\n"
         "try:\n"
-        "    optimal_breakpoints(ds, 2, config, cost_table=0.5 * table)\n"
+        "    _assemble_fits(search, [fit.breakpoints], [0.5 * fit.total_score])\n"
         "except ConsistencyError:\n"
         "    print('typed', __debug__)\n"
     )

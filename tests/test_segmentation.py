@@ -596,15 +596,6 @@ class TestDynamicProgram:
         with pytest.raises(ValueError):
             optimal_breakpoints(ds, -1, PenaltyConfig())
 
-    def test_shared_cost_table_consistent(self):
-        ds = _one_break(n=40, p=2, b=20, seed=53)
-        config = PenaltyConfig(family="lasso_type", gamma=1.0)
-        table = build_cost_table(ds, config, min_seg_len=5)
-        direct = optimal_breakpoints(ds, 1, config)
-        shared = optimal_breakpoints(ds, 1, config, cost_table=table)
-        assert direct.breakpoints == shared.breakpoints
-        assert direct.total_score == pytest.approx(shared.total_score, rel=1e-12)
-
 
 class TestChosenSegmentCheck:
     """The fits of the chosen segments are checked against the rows of X

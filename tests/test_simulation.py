@@ -26,7 +26,7 @@ from segbreak import (
 )
 from segbreak.cli import _read_matrix
 from segbreak import simulation
-from segbreak.segmentation import _Solved, _assemble_fits
+from segbreak.segmentation import _assemble_fits, _checked_search
 from segbreak.simulation import REGIME_COEFFICIENTS, TABLE_LAYOUTS, _lower_median, _replicate
 
 
@@ -235,7 +235,8 @@ class TestRunMonteCarlo:
 
     def test_exact_fit_worse_than_truth_counts_as_failure(self, monkeypatch):
         def misplaced(dataset, k, penalty, criterion):
-            return _assemble_fits(_Solved(dataset, penalty), [(10,)], [None])[0]
+            search = _checked_search(dataset, penalty, criterion)
+            return _assemble_fits(search, [(10,)], [None])[0]
 
         monkeypatch.setattr(simulation, "optimal_breakpoints", misplaced)
         spec, penalty = _small_spec(n=60, b=30, seed=23), PenaltyConfig()
