@@ -218,12 +218,6 @@ def _add_criterion_args(sp) -> None:
         default=0.625,
         help="complexity scale exponent, in (1/2, 3/4)",
     )
-    sp.add_argument(
-        "--g-function",
-        choices=("k",),
-        default="k",
-        help="complexity function of the selection criterion",
-    )
 
 
 def _criterion_from_args(args) -> CriterionConfig:
@@ -504,16 +498,19 @@ def _cmd_simulate(args) -> int:
         source = {"table": args.table}
     else:
         data = _load_scenario_file(args.scenario)
-        spec = ScenarioSpec(
-            n=data["n"],
-            breakpoints=tuple(data["breakpoints"]),
-            coefficient_vectors=data["coefficients"],
-            covariate_means=data.get("covariate_means"),
-            error_std=data.get("error_std", 1.0),
-            seed=_resolve_seed(args.seed, data.get("seed")),
-            error_family=data.get("error_family", "gaussian"),
-            error_df=data.get("error_df"),
-        )
+        try:
+            spec = ScenarioSpec(
+                n=data["n"],
+                breakpoints=tuple(data["breakpoints"]),
+                coefficient_vectors=data["coefficients"],
+                covariate_means=data.get("covariate_means"),
+                error_std=data.get("error_std", 1.0),
+                seed=_resolve_seed(args.seed, data.get("seed")),
+                error_family=data.get("error_family", "gaussian"),
+                error_df=data.get("error_df"),
+            )
+        except ValueError as exc:
+            raise CliInputError(f"{args.scenario}: {exc}") from None
         source = {"scenario_file": args.scenario}
 
     penalty = _penalty_from_args(args)

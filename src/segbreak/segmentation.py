@@ -25,9 +25,9 @@ over every sample position, the coarse grid of the approximate
 least-squares lower bounds, on blocks of segments and then on single
 segments, measured against an incumbent scored at its least-squares fit,
 leave only those that can lie on an optimal partition, and only those
-are solved, in one engine call.  No (n+1) x (n+1) array is built, a
-segment that exhausts the sweep budget fails a search only if it
-survives, and the result equals the dense table's
+are solved, in one engine call, for one dynamic program.  No (n+1) x
+(n+1) array is built, a segment that exhausts the sweep budget fails a
+search only if it survives, and the result equals the dense table's
 (``optimal_breakpoints`` gives the rules and the argument).  Every
 least-squares fit of the engine is ``_least_squares``, under the rule
 of ``solvers.ols``.
@@ -185,24 +185,31 @@ def _least_squares(dataset, pairs, G, b):
     those solved from ``G`` and ``b``: segments at least p long whose Gram
     eigenvalues pass the test of ``solvers.ols``.  The others get the
     minimum-norm fit of their rows, as differenced cumulative sums hide a
-    null space, from one batched SVD per segment length (``_min_norm``);
-    with ``dataset`` None they stay 0, for callers that discard them."""
+    null space, from one batched SVD per segment length (``_min_norm``)."""
     phi = np.zeros(b.shape)
     full = pairs[:, 1] - pairs[:, 0] >= b.shape[1]
     eig = np.linalg.eigvalsh(G[full])
     full[full] = (eig[:, -1] > 0.0) & (eig[:, 0] >= solvers._GRAM_COND_FLOOR * eig[:, -1])
     phi[full] = np.linalg.solve(G[full], b[full][..., None])[..., 0]
-    if dataset is not None:
-        rest = np.flatnonzero(~full)
-        lengths = pairs[rest, 1] - pairs[rest, 0]
-        for m in _distinct(lengths):
-            group = rest[lengths == m]
-            per = max(1, _ROW_BATCH // (int(m) * b.shape[1]))
-            for lo in range(0, len(group), per):
-                sub = group[lo : lo + per]
-                rows = pairs[sub, 0][:, None] + np.arange(m)
-                phi[sub] = _min_norm(dataset.X[rows], dataset.y[rows])
+    rest = np.flatnonzero(~full)
+    lengths = pairs[rest, 1] - pairs[rest, 0]
+    for m in _distinct(lengths):
+        group = rest[lengths == m]
+        per = max(1, _ROW_BATCH // (int(m) * b.shape[1]))
+        for lo in range(0, len(group), per):
+            sub = group[lo : lo + per]
+            rows = pairs[sub, 0][:, None] + np.arange(m)
+            phi[sub] = _min_norm(dataset.X[rows], dataset.y[rows])
     return phi, full
+
+
+def _adaptive_weights(phi, full, g: float) -> np.ndarray:
+    """Weights ``|phi|**(-g)`` on the ``full`` rows of ``_least_squares``'s
+    fits ``phi``; unit weights, the unweighted fallback, on the others."""
+    w = np.ones(phi.shape)
+    with np.errstate(divide="ignore"):
+        w[full] = np.abs(phi[full]) ** (-g)
+    return w
 
 
 # Most design entries that one batched SVD of _least_squares stacks.
@@ -306,13 +313,10 @@ def _chunk_costs(dataset, pairs, G, b, yy, config):
             phi[np.abs(phi) <= config.effective_zero_clamp] = 0.0
         return solvers.gram_objective(G, b, yy, lam, phi, gamma), phi, None, None
 
-    fallback = None
-    w = np.ones((b.shape[0], p))
+    fallback, w = None, np.ones((b.shape[0], p))
     if config.family == FAMILY_ADAPTIVE:
-        phi, full = _least_squares(None, pairs, G, b)
-        with np.errstate(divide="ignore"):
-            w[full] = np.abs(phi[full]) ** (-config.g)
-        fallback = ~full
+        phi, full = _least_squares(dataset, pairs, G, b)
+        w, fallback = _adaptive_weights(phi, full, config.g), ~full
         if not config.adaptive_fallback and fallback.any():
             a, bnd = pairs[np.argmax(fallback)]
             raise AdaptiveUnavailableError(
@@ -579,9 +583,7 @@ def _incumbent_costs(search: _Search, pairs) -> np.ndarray:
         phi, full = _least_squares(search.dataset, pairs[sl], G, b)
         lam = config.lambda_scale * (pairs[sl, 1] - pairs[sl, 0]).astype(np.float64) ** config.rho
         if config.family == FAMILY_ADAPTIVE:
-            w = np.ones(phi.shape)
-            with np.errstate(divide="ignore"):
-                w[full] = np.abs(phi[full]) ** (-config.g)
+            w = _adaptive_weights(phi, full, config.g)
             value = solvers.gram_objective(G, b, yy, lam, phi, weights=w)
         else:
             value = solvers.gram_objective(G, b, yy, lam, phi, config.gamma)
@@ -637,32 +639,30 @@ def _survivors(search: _Search, k: int, nodes, upper=None):
     return i, j, upper, incumbent
 
 
-def _pruned_cost_table(search: _Search, k: int, nodes):
-    """Segments of the exact K-break search over ``nodes`` (increasing
-    sample positions from 0 to n), solved only where needed.
+def _pruned_minimize(search: _Search, k: int, nodes):
+    """Exact K-break minimum over ``nodes`` (increasing sample positions
+    from 0 to n), with segments solved only where needed.
 
     The survivors of pruning and the incumbent's segments are solved in
-    one call of the search's record.  Returns ``(i, j, cost, n_nodes)`` as
-    ``_dp_minimize`` takes them; ``optimal_breakpoints`` gives the rules
-    and the certificate.  Nodes with no K-partition raise
-    InfeasiblePartitionError.
+    one call of the search's record, and the program runs over them.
+    Returns ``(total, interior node indices)`` as ``_dp_minimize`` does;
+    ``optimal_breakpoints`` gives the rules and the certificate.  Nodes
+    with no K-partition raise InfeasiblePartitionError.
     """
     n_nodes = len(nodes)
     i, j, upper, incumbent = _survivors(search, k, nodes)
     listed = i * n_nodes + j
     if incumbent is not None:
         listed = np.concatenate([listed, incumbent[:-1] * n_nodes + incumbent[1:]])
-    i, j = np.divmod(_distinct(listed), n_nodes)
-    cost = search.costs(nodes[i], nodes[j])
-    total, _ = _dp_minimize(i, j, cost, n_nodes, k)
-    if total > upper + search.slack:
+    while True:
+        i, j = np.divmod(_distinct(listed), n_nodes)
+        total, picked = _dp_minimize(i, j, search.costs(nodes[i], nodes[j]), n_nodes, k)
+        if total <= upper + search.slack:
+            return total, picked
         # the solver attained more than U promised: prune again against the
-        # attained total, and solve the new survivors
-        more_i, more_j, _, _ = _survivors(search, k, nodes, total)
-        i, j = np.divmod(_distinct(np.concatenate([i * n_nodes + j, more_i * n_nodes + more_j])),
-                         n_nodes)
-        cost = search.costs(nodes[i], nodes[j])
-    return i, j, cost, n_nodes
+        # attained total, which the next program cannot exceed
+        more_i, more_j, upper, _ = _survivors(search, k, nodes, total)
+        listed = np.concatenate([i * n_nodes + j, more_i * n_nodes + more_j])
 
 
 def _assemble_fits(search: _Search, partitions, totals):
@@ -778,12 +778,13 @@ def optimal_breakpoints(
 
     Then the surviving segments and those of the incumbent that set U are
     solved, in one engine call of the record of the search (``_Search``),
-    and the program runs over them.  U bounds the optimum only up to the
-    solver's tolerance, so it is certified: if the program's total exceeds
-    U plus the slack, every pass is run again against that total (an
-    attained score) instead of U, and the new survivors are solved before
-    the program runs again.  The chosen segments' fits are then taken from
-    the record, so the common fit makes one engine call.
+    and one program runs over them.  U bounds the optimum only up to the
+    solver's tolerance, so it is certified in a loop: while the program's
+    total exceeds U plus the slack, every pass is run again against that
+    total (an attained score, the new U), and the program runs again over
+    the grown list, which holds the partition that attained it.  The
+    chosen segments' fits are then taken from the record, so the common
+    fit makes one engine call and runs one program.
     ``refit_breakpoints_two_stage`` runs the same passes over its grid's
     nodes, on which nothing below depends.
 
@@ -798,15 +799,7 @@ def optimal_breakpoints(
     the dense search.  Solver failures surface only from the segments
     actually solved.
     """
-    return _exact_fit(_checked_search(dataset, config, criterion), k)
-
-
-def _exact_fit(search: _Search, k: int) -> ChangePointFit:
-    """The pruned exact K-break fit of ``optimal_breakpoints``."""
-    _check_feasible(search.dataset.n, k, search.min_len)
-    nodes = np.arange(search.dataset.n + 1)
-    total, picked = _dp_minimize(*_pruned_cost_table(search, k, nodes), k)
-    return _assemble_fits(search, [picked], [total])[0]
+    return _two_stage_fit(_checked_search(dataset, config, criterion), k, 1)
 
 
 def refit_breakpoints_two_stage(
@@ -842,11 +835,12 @@ def refit_breakpoints_two_stage(
 
 def _two_stage_fit(search: _Search, k: int, grid_step: int) -> ChangePointFit:
     """``refit_breakpoints_two_stage`` of K on ``search``, which a caller
-    may share across K."""
+    may share across K; grid step 1 is ``optimal_breakpoints``."""
     n, min_len = search.dataset.n, search.min_len
     _check_feasible(n, k, min_len)
     if grid_step == 1:
-        return _exact_fit(search, k)
+        total, picked = _pruned_minimize(search, k, np.arange(n + 1))
+        return _assemble_fits(search, [picked], [total])[0]
     if k == 0:
         return _assemble_fits(search, [()], [None])[0]
 
@@ -855,7 +849,7 @@ def _two_stage_fit(search: _Search, k: int, grid_step: int) -> ChangePointFit:
         interior = [t for t in range(step, n, step) if min_len <= t <= n - min_len]
         nodes = np.array([0, *interior, n], dtype=np.int64)
         try:
-            _, picked = _dp_minimize(*_pruned_cost_table(search, k, nodes), k)
+            _, picked = _pruned_minimize(search, k, nodes)
             break
         except InfeasiblePartitionError:
             if step == 1:

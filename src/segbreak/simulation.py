@@ -37,13 +37,7 @@ from .model import (
     segment_ranges,
     _readonly,
 )
-from .segmentation import (
-    _check_feasible,
-    optimal_breakpoints,
-    pair_costs,
-    refit_breakpoints_two_stage,
-    segment_cost,  # noqa: F401  (bound here for tracers)
-)
+from .segmentation import _check_feasible, _checked_search, _two_stage_fit
 from .selection import active_set_standard_errors, select_k
 
 REGIME_COEFFICIENTS = (
@@ -124,6 +118,8 @@ class ScenarioSpec:
         )
         coef = _readonly(self.coefficient_vectors, ndmin=2)
         object.__setattr__(self, "coefficient_vectors", coef)
+        if coef.shape[1] == 0:
+            raise ValueError("'coefficient_vectors' must hold at least one column")
         if coef.shape[0] != len(self.breakpoints) + 1:
             raise ValueError(
                 f"{len(self.breakpoints)} breakpoints imply "
@@ -139,6 +135,10 @@ class ScenarioSpec:
                 f"covariate_means shape {means.shape} does not match p={coef.shape[1]}"
             )
         object.__setattr__(self, "covariate_means", _readonly(means))
+        for name in ("coefficient_vectors", "covariate_means", "error_std", "error_df"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value).all():
+                raise ValueError(f"{name!r} must be finite")
         bounds = (0, *self.breakpoints, self.n)
         if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
             raise ValueError(
@@ -270,12 +270,10 @@ def _replicate(args) -> _RepOutcome:
             selection = select_k(dataset, penalty, criterion, grid_step=grid_step)
             fit = selection.best_fit
             out.k_hat = selection.k_hat
-        elif grid_step is None:
-            fit = optimal_breakpoints(dataset, fixed_k, penalty, criterion)
         else:
-            fit = refit_breakpoints_two_stage(
-                dataset, fixed_k, penalty, criterion, grid_step=grid_step
-            )
+            # grid step 1 is the exact search
+            search = _checked_search(dataset, penalty, criterion)
+            fit = _two_stage_fit(search, fixed_k, 1 if grid_step is None else grid_step)
 
         out.comparable = fit.k == true_k
         if not out.comparable:
@@ -295,13 +293,11 @@ def _replicate(args) -> _RepOutcome:
         )
 
         if fixed_k is not None:
-            min_len = effective_min_seg_len(penalty, criterion, dataset.p)
-            true_ranges = segment_ranges(truth.breakpoints, dataset.n)
-            if all(r.length >= min_len for r in true_ranges):
-                # scored by the engine that scored the search's segments
-                truth_score = float(pair_costs(
-                    dataset, [(r.start, r.end) for r in true_ranges], penalty
-                ).sum())
+            bounds = np.array([0, *truth.breakpoints, dataset.n])
+            starts, ends = bounds[:-1], bounds[1:]
+            if (ends - starts >= search.min_len).all():
+                # scored from the record that scored the search's segments
+                truth_score = float(search.costs(starts, ends).sum())
                 ok = fit.total_score <= truth_score * (1.0 + 1e-9) + 1e-9
                 if grid_step is None and not ok:
                     raise ConsistencyError(
@@ -350,7 +346,8 @@ def run_monte_carlo(
     ``fixed_k`` of None selects K per replication with ``criterion`` (then
     required); otherwise every replication fits exactly ``fixed_k``
     breakpoints.  ``grid_step`` switches the per-replication search to the
-    approximate two-stage grid; None keeps the exact dynamic program.
+    approximate two-stage grid and must be at least 1 (1 is the exact
+    search); None keeps the exact dynamic program.
     Failed replications are counted and excluded; strictly more than 10%
     failures raises TooManyFailuresError.  Results are independent of
     ``workers``.
@@ -363,6 +360,8 @@ def run_monte_carlo(
         raise ValueError("fixed_k must be >= 0")
     if fixed_k is not None:
         _check_feasible(spec.n, fixed_k, effective_min_seg_len(penalty, criterion, spec.p))
+    if grid_step is not None and grid_step < 1:
+        raise ValueError("grid_step must be >= 1")
     args = [
         (spec, rep, penalty, criterion, fixed_k, grid_step,
          with_standard_errors, z_value)

@@ -1,6 +1,7 @@
 """Command line behavior: parsing, exit codes, JSON reports, determinism."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -325,12 +326,20 @@ class TestSimulate:
         assert "coefficients" in err
 
     @pytest.mark.parametrize(
-        "key, value",
-        [("breakpoints", 5), ("breakpoints", [20.5]), ("error_std", "a"), ("error_std", None)],
-        ids=["breakpoints-int", "breakpoints-fraction", "error-std-string", "error-std-null"],
+        "key, value, named",
+        [("breakpoints", 5, "breakpoints"), ("breakpoints", [20.5], "breakpoints"),
+         ("error_std", "a", "error_std"), ("error_std", None, "error_std"),
+         ("error_std", math.nan, "error_std"), ("error_std", math.inf, "error_std"),
+         ("coefficients", [[math.nan, 0.0], [0.0, -3.0]], "coefficient_vectors"),
+         ("covariate_means", [math.inf, 0.0], "covariate_means"),
+         ("coefficients", [[]], "coefficient_vectors")],
+        ids=["breakpoints-int", "breakpoints-fraction", "error-std-string", "error-std-null",
+             "error-std-nan", "error-std-infinity", "coefficient-nan", "mean-infinity",
+             "no-coefficients"],
     )
-    def test_scenario_value_of_wrong_type(self, capsys, scenario_file, tmp_path, key, value):
-        # these crashed with a bare TypeError, or truncated 20.5 to 20
+    def test_scenario_value_of_wrong_type(self, capsys, scenario_file, tmp_path, key, value, named):
+        # these crashed with a bare TypeError, truncated 20.5 to 20, or
+        # (non-finite or empty values) failed every replication with exit 4
         doc = json.loads(open(scenario_file).read())
         doc[key] = value
         path = tmp_path / "typed.json"
@@ -339,7 +348,7 @@ class TestSimulate:
             capsys, ["simulate", "--scenario", str(path), "--reps", "2", "--workers", "1"]
         )
         assert code == 2
-        assert str(path) in err and repr(key) in err
+        assert str(path) in err and repr(named) in err
 
     def test_select_rejects_fixed_k(self, capsys):
         # the selection study used to run and report "fixed_k": null

@@ -14,7 +14,8 @@ hold the dynamic programs over segment lists to their dense originals,
 and pin the typed consistency error that replaced the runtime asserts (it
 must fire under ``python -O`` too).  They also hold the searches exact
 when the least-squares incumbents are scored below the optimum (the
-certificate must catch it), count the engine calls of an exact fit, hold
+certificate must catch it), count the engine calls of an exact fit and
+the dynamic programs of each fit, hold
 each reported fit to the engine's row of its segment, hold the
 bound-pruned refinement windows to whole ones, and hold ``select_k`` to one
 solve per segment in either mode.
@@ -173,35 +174,36 @@ def _admissible_pairs(nodes, min_len):
 
 
 def _dense_grid_table(dataset, config, min_seg_len, nodes):
-    """Reference for ``segmentation._pruned_cost_table`` on a grid: every
-    admissible segment between the nodes solved, as the two-stage coarse
-    stage did before it was pruned, in the same ``(i, j, cost, n_nodes)``
-    form.  A node set with no K-partition yields segments on which the
-    dynamic program raises InfeasiblePartitionError."""
+    """Every admissible segment between the nodes solved, as the two-stage
+    coarse stage did before it was pruned, in the ``(i, j, cost,
+    n_nodes)`` form ``_dp_minimize`` takes.  A node set with no
+    K-partition yields segments on which the dynamic program raises
+    InfeasiblePartitionError."""
     i1, i2 = _admissible_pairs(nodes, min_seg_len)
     costs = pair_costs(dataset, np.column_stack([nodes[i1], nodes[i2]]), config)
     return i1, i2, costs, len(nodes)
 
 
 def _with_dense_grid(monkeypatch, run):
-    """``run()`` with every grid's segments solved densely by the reference.
+    """``run()`` with ``segmentation._pruned_minimize`` replaced by the
+    program over every grid segment, solved densely by the reference.
 
     ``run`` searches one dataset under one config, so the segments depend
     only on the nodes and minimum length, and are solved once for all K."""
-    pruned = segmentation._pruned_cost_table
+    pruned = segmentation._pruned_minimize
     tables = {}
 
     def dense(search, k, nodes):
         key = (search.min_len, nodes.tobytes())
         if key not in tables:
             tables[key] = _dense_grid_table(search.dataset, search.config, search.min_len, nodes)
-        return tables[key]
+        return _dp_minimize(*tables[key], k)
 
-    monkeypatch.setattr(segmentation, "_pruned_cost_table", dense)
+    monkeypatch.setattr(segmentation, "_pruned_minimize", dense)
     try:
         return run()
     finally:
-        monkeypatch.setattr(segmentation, "_pruned_cost_table", pruned)
+        monkeypatch.setattr(segmentation, "_pruned_minimize", pruned)
 
 
 def _assert_same_two_stage(monkeypatch, ds, ks, config, steps, min_len=None):
@@ -490,6 +492,38 @@ def test_exact_fit_makes_one_engine_call(monkeypatch, rep):
     assert calls == {"pair_costs": 1, "batch_cd": 1, "in_assemble": 0}
 
 
+def _record_programs(monkeypatch):
+    """List that receives the arguments of every ``_dp_minimize`` call."""
+    programs = []
+    original = segmentation._dp_minimize
+
+    def recording(i, j, cost, n_nodes, k):
+        programs.append((i.tobytes(), j.tobytes(), cost.tobytes(), n_nodes, k))
+        return original(i, j, cost, n_nodes, k)
+
+    monkeypatch.setattr(segmentation, "_dp_minimize", recording)
+    return programs
+
+
+@pytest.mark.parametrize(
+    "layout, rep, grid_step",
+    [(4, rep, None) for rep in range(6)] + [(5, rep, 20) for rep in range(2)],
+    ids=[f"exact-4-{rep}" for rep in range(6)] + [f"grid-20-5-{rep}" for rep in range(2)],
+)
+def test_fit_runs_each_program_once(monkeypatch, layout, rep, grid_step):
+    # the pruned search returns the minimizer of its own program, so no
+    # fit runs the dynamic program twice over the same segments and costs
+    spec, config = table_preset(layout)
+    ds = replication_dataset(spec, rep)
+    programs = _record_programs(monkeypatch)
+    if grid_step is None:
+        optimal_breakpoints(ds, 2, config)
+    else:
+        refit_breakpoints_two_stage(ds, 2, config, grid_step=grid_step)
+    assert programs
+    assert len(set(programs)) == len(programs)
+
+
 @pytest.mark.parametrize("config", FAMILIES_WITH_BRIDGE, ids=FAMILY_IDS_WITH_BRIDGE)
 def test_reported_fits_are_the_engine_rows(monkeypatch, config):
     # Each reported fit's coefficients before the zero clamp are the bits
@@ -560,12 +594,12 @@ def test_pruned_refinement_windows_match_full_windows(monkeypatch, layout, confi
     assert fits() == _without_window_bound(monkeypatch, fits)
 
 
-def _record_table_calls(monkeypatch):
-    """List that receives, for each ``_pruned_cost_table`` call, its nodes,
+def _record_minimize_calls(monkeypatch):
+    """List that receives, for each ``_pruned_minimize`` call, its nodes,
     whether it raised InfeasiblePartitionError and the rows it solved."""
     solved = _count_solved(monkeypatch)
     calls = []
-    original = segmentation._pruned_cost_table
+    original = segmentation._pruned_minimize
 
     def recording(search, k, nodes):
         before, infeasible = len(solved), False
@@ -577,7 +611,7 @@ def _record_table_calls(monkeypatch):
         finally:
             calls.append((nodes.tolist(), infeasible, sum(solved[before:])))
 
-    monkeypatch.setattr(segmentation, "_pruned_cost_table", recording)
+    monkeypatch.setattr(segmentation, "_pruned_minimize", recording)
     return calls
 
 
@@ -653,7 +687,7 @@ def test_grid_without_a_partition_halves_its_step(monkeypatch):
     # no 2-break partition and the search halves the step to 2.
     ds = _two_regimes(n=36, p=2, b=12, seed=31)
     _assert_same_two_stage(monkeypatch, ds, (2,), LASSO, (5,), min_len=12)
-    calls = _record_table_calls(monkeypatch)
+    calls = _record_minimize_calls(monkeypatch)
     fit = refit_breakpoints_two_stage(
         ds, 2, LASSO, CriterionConfig(min_seg_len=12), grid_step=5
     )
@@ -679,7 +713,7 @@ def test_two_stage_fit_at_n1500_solves_few_grid_segments(monkeypatch):
     # solving all 2,850 admissible grid segments would be most of it.
     spec, config = table_preset(5)
     ds = replication_dataset(spec, 0)
-    calls = _record_table_calls(monkeypatch)
+    calls = _record_minimize_calls(monkeypatch)
     fit = refit_breakpoints_two_stage(ds, 2, config, grid_step=20)
     assert fit.breakpoints == (200, 400)
     [(nodes, infeasible, solved)] = calls

@@ -25,8 +25,8 @@ from segbreak import (
     write_dataset,
 )
 from segbreak.cli import _read_matrix
-from segbreak import simulation
-from segbreak.segmentation import _assemble_fits, _checked_search
+from segbreak import segmentation, simulation
+from segbreak.segmentation import _assemble_fits
 from segbreak.simulation import REGIME_COEFFICIENTS, TABLE_LAYOUTS, _lower_median, _replicate
 
 
@@ -102,6 +102,18 @@ class TestScenarioSpec:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError):
             ScenarioSpec(n=50, breakpoints=(), coefficient_vectors=[[1.0]], seed=-1)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("error_std", np.nan), ("error_std", np.inf), ("coefficient_vectors", [[np.nan, 1.0]]),
+         ("covariate_means", [np.inf, 0.0]), ("coefficient_vectors", [[]])],
+        ids=["error-std-nan", "error-std-inf", "coefficient-nan", "mean-inf", "no-coefficients"],
+    )
+    def test_non_finite_or_empty_values_rejected(self, field, value):
+        # each of these would fail every replication of a Monte Carlo run
+        values = {"coefficient_vectors": [[1.0, 2.0]], field: value}
+        with pytest.raises(ValueError, match=repr(field)):
+            ScenarioSpec(n=50, breakpoints=(), **values)
 
     def test_error_spec_passthrough(self):
         spec = ScenarioSpec(
@@ -234,15 +246,46 @@ class TestRunMonteCarlo:
             run_monte_carlo(spec, 3, strangled, fixed_k=1)
 
     def test_exact_fit_worse_than_truth_counts_as_failure(self, monkeypatch):
-        def misplaced(dataset, k, penalty, criterion):
-            search = _checked_search(dataset, penalty, criterion)
+        def misplaced(search, k, grid_step):
             return _assemble_fits(search, [(10,)], [None])[0]
 
-        monkeypatch.setattr(simulation, "optimal_breakpoints", misplaced)
+        monkeypatch.setattr(simulation, "_two_stage_fit", misplaced)
         spec, penalty = _small_spec(n=60, b=30, seed=23), PenaltyConfig()
         out = _replicate((spec, 0, penalty, None, 1, None, False, 1.96))
         assert out.failed
         assert out.message.startswith("ConsistencyError: exact search score")
+
+    @pytest.mark.parametrize("grid_step", [None, 5], ids=["exact", "grid-5"])
+    def test_fixed_k_replication_builds_one_search(self, monkeypatch, grid_step):
+        # the fit and the score of the true breakpoints share one record,
+        # so the cumulative statistics are built once
+        built = []
+        original = segmentation._cumulative_stats
+
+        def counting(dataset):
+            built.append(dataset.n)
+            return original(dataset)
+
+        monkeypatch.setattr(segmentation, "_cumulative_stats", counting)
+        spec, penalty = table_preset(1)
+        out = _replicate((spec, 0, penalty, None, 2, grid_step, False, 1.96))
+        assert not out.failed and out.comparable
+        assert built == [spec.n]
+
+    @pytest.mark.parametrize("fixed_k", [1, None], ids=["fixed-k", "select"])
+    def test_grid_step_checked_before_any_replication(self, monkeypatch, fixed_k):
+        drawn = []
+        original = simulation.replication_dataset
+
+        def recording(spec, rep):
+            drawn.append(rep)
+            return original(spec, rep)
+
+        monkeypatch.setattr(simulation, "replication_dataset", recording)
+        with pytest.raises(ValueError, match="^grid_step must be >= 1$"):
+            run_monte_carlo(_small_spec(), 2, PenaltyConfig(), CriterionConfig(),
+                            fixed_k=fixed_k, grid_step=0)
+        assert drawn == []
 
     def test_selection_requires_criterion(self):
         spec = _small_spec()
