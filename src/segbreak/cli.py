@@ -110,21 +110,14 @@ def _read_matrix(path: str, header: bool, delimiter: str | None) -> np.ndarray:
             parts = line.split(",")
         else:
             parts = line.split()
-        values = []
-        for colno, token in enumerate(parts, start=1):
-            token = token.strip()
-            try:
-                value = float(token)
-            except ValueError:
-                raise CliInputError(
-                    f"{path}: could not parse {token!r} at row {lineno}, "
-                    f"column {colno}"
-                ) from None
-            if not math.isfinite(value):
-                raise CliInputError(
-                    f"{path}: non-finite value at row {lineno}, column {colno}"
-                )
-            values.append(value)
+        # one conversion per line; the tokens are walked one by one only to
+        # cite a bad one, or to strip what float() keeps (\x1f)
+        try:
+            values = list(map(float, parts))
+        except ValueError:
+            values = None
+        if values is None or not all(map(math.isfinite, values)):
+            values = _fields(path, lineno, parts)
         if width is None:
             width = len(values)
         elif len(values) != width:
@@ -139,6 +132,27 @@ def _read_matrix(path: str, header: bool, delimiter: str | None) -> np.ndarray:
             f"{path}: need a response column plus at least one covariate"
         )
     return np.array(rows, dtype=np.float64)
+
+
+def _fields(path: str, lineno: int, parts) -> list:
+    """The values of the tokens ``parts`` of line ``lineno``, each stripped
+    and converted in turn, citing the first that is not a finite number."""
+    values = []
+    for colno, token in enumerate(parts, start=1):
+        token = token.strip()
+        try:
+            value = float(token)
+        except ValueError:
+            raise CliInputError(
+                f"{path}: could not parse {token!r} at row {lineno}, "
+                f"column {colno}"
+            ) from None
+        if not math.isfinite(value):
+            raise CliInputError(
+                f"{path}: non-finite value at row {lineno}, column {colno}"
+            )
+        values.append(value)
+    return values
 
 
 def _input_doc(args) -> dict:

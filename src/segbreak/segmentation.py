@@ -22,20 +22,18 @@ the engine on a stack of one.  ``select_k`` solves every admissible
 segment once for all K.  A single K-break search (``optimal_breakpoints``
 over every sample position, the coarse grid of the approximate
 ``refit_breakpoints_two_stage``) instead keeps a list of segments:
-least-squares lower bounds, on blocks of segments and then on single
-segments, measured against an incumbent scored at its least-squares fit,
-leave only those that can lie on an optimal partition, and only those
-are solved, in one engine call, for one dynamic program.  No (n+1) x
-(n+1) array is built, a segment that exhausts the sweep budget fails a
-search only if it survives, and the result equals the dense table's
-(``optimal_breakpoints`` gives the rules and the argument).  Every
-least-squares fit of the engine is ``_least_squares``, under the rule
-of ``solvers.ols``.
+least-squares lower bounds, on a ladder of ever smaller blocks of
+segments and then on single segments, measured against an incumbent
+scored at its least-squares fit, leave only those that can lie on an
+optimal partition, and only those are solved, in one engine call, for
+one dynamic program.  No (n+1) x (n+1) array is built, a segment that
+exhausts the sweep budget fails a search only if it survives, and the
+result equals the dense table's (``optimal_breakpoints`` gives the rules
+and the argument).  Every least-squares fit of the engine is
+``_least_squares``, under the rule of ``solvers.ols``.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -520,16 +518,22 @@ def _least_through(i, j, cost, n_nodes: int, k: int) -> np.ndarray:
     return through + cost
 
 
-def _block_size(n: int) -> int:
-    """Side s of the s x s blocks of (start, end) node pairs that the coarse
-    pass over the nodes 0 .. n bounds as one.
+def _block_sizes(n_nodes: int) -> tuple:
+    """Sides s of the s x s blocks of (start, end) node pairs that the
+    passes of the pruned search over ``n_nodes`` nodes bound as one,
+    coarse to fine: the powers of 4 down to 1, from the largest that still
+    cuts the starts (every node but the last) into at least 8 whole
+    blocks.  Up to 32 nodes the per-segment pass runs alone: (1,).
 
-    About (n/s)^2 / 2 blocks get a bound, and each block that survives
-    holds about s^2 segments to bound one by one, so s near sqrt(n) / 2
-    balances the two.  Up to n = 100 the per-segment pass alone is
-    cheaper (s = 1).
+    Each size divides the one before it, so a block of one pass is a union
+    of whole blocks of the next (``_pairs_inside``), and a surviving block
+    pair expands into 16 pairs of the next pass, not into the s^2 segments
+    of a single coarse level.
     """
-    return 1 if n <= 100 else math.isqrt(n) // 2
+    sizes = [1]
+    while 8 * 4 * sizes[0] < n_nodes:
+        sizes.insert(0, 4 * sizes[0])
+    return tuple(sizes)
 
 
 def _blocks(n: int, size: int):
@@ -605,8 +609,7 @@ def _survivors(search: _Search, k: int, nodes, upper=None):
     if scoring:
         upper = np.inf
     i, j, outer = np.array([0]), np.array([0]), end + 1  # one block of everything
-    coarse = _block_size(end)
-    for size in (coarse, 1) if coarse > 1 else (1,):
+    for size in _block_sizes(len(nodes)):
         # the admissible block pairs inside the last level's survivors on a K-partition
         first, last = _blocks(end, size)
         first_at, last_at = nodes[first], nodes[last]
@@ -748,11 +751,14 @@ def optimal_breakpoints(
     Dynamic programming over a list of admissible segments; ties between
     score-equal breakpoint vectors resolve to the lexicographically
     smallest one.  Only the segments that can lie on an optimal partition
-    are listed and solved.  The work runs coarse to fine: first on s x s
-    blocks of (start, end) pairs, block i holding the nodes
-    ``i*s .. i*s + s - 1``, with s about sqrt(n) / 2 (s = 1, the
-    per-segment pass alone, up to n = 100); then, with s = 1, on the
-    segments of the blocks that survive.  Each pass takes these steps:
+    are listed and solved.  The work runs coarse to fine, one pass per
+    block size s of the ladder ``_block_sizes``: powers of 4 down to 1,
+    from the largest that leaves at least 8 whole blocks of starts (16, 4
+    and 1 at n = 500; 256 down to 1 at n = 5000; 1 alone up to n = 31).  A
+    pass works on s x s blocks of (start, end) pairs, block i holding the
+    nodes ``i*s .. i*s + s - 1``, and lists only the blocks inside those
+    that survived the pass before; the last, with s = 1, lists single
+    segments.  Each pass takes these steps:
 
     1. *Bound.*  Each segment's cost is at least its unpenalized
        least-squares RSS, which only grows with the segment.  The bound of
@@ -788,16 +794,15 @@ def optimal_breakpoints(
     ``refit_breakpoints_two_stage`` runs the same passes over its grid's
     nodes, on which nothing below depends.
 
-    The search over this list is exact.  A dropped block holds only
-    segments on partitions whose bound total, and hence cost, exceeds the
-    certified U, which is at least the optimum, so none of them is on an
-    optimal partition.  The
-    segments of the partition the dense table would return all survive,
-    with the same costs, so the dynamic program finds the same minimum at
-    every node it reconstructs from and makes the same lexicographic
-    choices: breakpoints, tie-breaks and ``total_score`` equal those of
-    the dense search.  Solver failures surface only from the segments
-    actually solved.
+    The search over this list is exact.  A block dropped at any pass
+    holds only segments on partitions whose bound total, and hence cost,
+    exceeds the certified U, which is at least the optimum, so none of
+    them is on an optimal partition.  The segments of the partition the
+    dense table would return all survive, with the same costs, so the
+    dynamic program finds the same minimum at every node it reconstructs
+    from and makes the same lexicographic choices: breakpoints, tie-breaks
+    and ``total_score`` equal those of the dense search.  Solver failures
+    surface only from the segments actually solved.
     """
     return _two_stage_fit(_checked_search(dataset, config, criterion), k, 1)
 

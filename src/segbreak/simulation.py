@@ -80,6 +80,10 @@ class ErrorSpec:
     def __post_init__(self):
         if self.family not in _ERROR_FAMILIES:
             raise ValueError(f"unknown error family {self.family!r}")
+        for name in ("std", "df"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise ValueError(f"{name!r} must be finite")
         if self.std < 0:
             raise ValueError("std must be nonnegative")
         if self.family == "student_t" and (self.df is None or self.df <= 2):

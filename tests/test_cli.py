@@ -91,6 +91,36 @@ class TestInputErrors:
         assert code == 2
         assert "non-finite" in err
 
+    # Where a file holds several errors, the first line with one wins, and
+    # within it the first bad token in column order, before the width check.
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1 2\n3 inf oops\n4 5 6\n", "non-finite value at row 2, column 2"),
+            ("1 2\n3 oops inf\n", "could not parse 'oops' at row 2, column 2"),
+            ("1 2\n3 4 oops\n", "could not parse 'oops' at row 2, column 3"),
+            ("1 2\n3 4 5\n6 x\n", "row 2 has 3 fields, expected 2"),
+            ("1, 2\n3,\n", "could not parse '' at row 2, column 2"),
+            ("1 2\n\n3 nan\n4\n", "non-finite value at row 3, column 2"),
+        ],
+        ids=["inf-before-token", "token-before-nan", "token-before-width",
+             "width-before-later-token", "empty-field", "blank-line-counted"],
+    )
+    def test_first_error_is_cited_in_full(self, capsys, tmp_path, text, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        code, _, err = _run(capsys, ["fit", str(path)])
+        assert code == 2
+        assert f"{path}: {message}\n" in err
+
+    def test_tokens_are_stripped_as_by_str_strip(self, tmp_path):
+        # float() accepts surrounding spaces but not the separator \x1f,
+        # which str.strip() removes: such a token still reads as its number
+        path = tmp_path / "odd.txt"
+        path.write_text("1.5, 2\n\x1f3 ,4\x1f\n 1_0 ,-0.0\n")
+        got = cli._read_matrix(str(path), False, None)
+        assert got.tolist() == [[1.5, 2.0], [3.0, 4.0], [10.0, -0.0]]
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, _ = _run(capsys, ["fit", str(tmp_path / "nope.txt")])
         assert code == 2

@@ -77,6 +77,10 @@ FAMILY_IDS_WITH_BRIDGE = [*FAMILY_IDS, "bridge"]
 # nor 7, and the presets' minimum segment lengths (5 and 11) lie on both
 # sides of them.
 BLOCK_SIZES = (2, 3, 7)
+# Ladders of block sizes, coarse to fine, that the pruned search is forced
+# to walk besides its own rule's: one coarse level of each size above, and
+# nested ones whose sizes divide each other but are no powers of 4.
+BLOCK_LADDERS = (*((size, 1) for size in BLOCK_SIZES), (6, 3, 1), (14, 7, 1))
 
 
 def _dense_table(ds, config, min_len=None):
@@ -96,35 +100,36 @@ def _dense_fit(ds, k, config, table, min_len=None):
     return _assemble_fits(_Search(ds, config, min_len), [nodes], [total])[0]
 
 
-def _each_block_size(monkeypatch):
-    """Yield the forced block size, None under the rule, with each in force."""
-    rule = segmentation._block_size
-    for size in (None, *BLOCK_SIZES):
+def _each_block_ladder(monkeypatch):
+    """Yield the forced ladder of block sizes, None under the rule, with
+    each in force."""
+    rule = segmentation._block_sizes
+    for ladder in (None, *BLOCK_LADDERS):
         monkeypatch.setattr(
-            segmentation, "_block_size", rule if size is None else lambda n: size
+            segmentation, "_block_sizes", rule if ladder is None else lambda n_nodes: ladder
         )
-        yield size
-    monkeypatch.setattr(segmentation, "_block_size", rule)
+        yield ladder
+    monkeypatch.setattr(segmentation, "_block_sizes", rule)
 
 
 def _assert_same_search(monkeypatch, ds, ks, config, min_len=None):
-    """Pruned == dense, under the block-size rule and at each forced size,
-    and the exact ``select_k`` over K = 0 .. max(ks) == dense."""
+    """Pruned == dense, under the block-size rule and on each forced
+    ladder, and the exact ``select_k`` over K = 0 .. max(ks) == dense."""
     table, dense = _assert_same_exact(monkeypatch, ds, ks, config, min_len)
     _assert_same_selection(monkeypatch, ds, config, min_len, table, dense)
 
 
 def _assert_same_exact(monkeypatch, ds, ks, config, min_len=None):
-    """Pruned == dense, under the block-size rule and at each forced size;
-    returns the dense table and the dense fits by K."""
+    """Pruned == dense, under the block-size rule and on each forced
+    ladder; returns the dense table and the dense fits by K."""
     crit = None if min_len is None else CriterionConfig(min_seg_len=min_len)
     table = _dense_table(ds, config, min_len)
     dense = {k: _dense_fit(ds, k, config, table, min_len) for k in ks}
-    for size in _each_block_size(monkeypatch):
+    for ladder in _each_block_ladder(monkeypatch):
         for k in ks:
             pruned = optimal_breakpoints(ds, k, config, crit)
-            assert pruned.breakpoints == dense[k].breakpoints, (size, k)
-            assert pruned.total_score == dense[k].total_score, (size, k)
+            assert pruned.breakpoints == dense[k].breakpoints, (ladder, k)
+            assert pruned.total_score == dense[k].total_score, (ladder, k)
     return table, dense
 
 
@@ -208,7 +213,7 @@ def _with_dense_grid(monkeypatch, run):
 
 def _assert_same_two_stage(monkeypatch, ds, ks, config, steps, min_len=None):
     """Pruned coarse grid == dense coarse grid for each K and grid step,
-    under the block-size rule and at each forced size."""
+    under the block-size rule and on each forced ladder."""
     crit = None if min_len is None else CriterionConfig(min_seg_len=min_len)
     cases = [(k, step) for k in ks for step in steps]
 
@@ -217,10 +222,10 @@ def _assert_same_two_stage(monkeypatch, ds, ks, config, steps, min_len=None):
                 for k, step in cases]
 
     dense = _with_dense_grid(monkeypatch, fits)
-    for size in _each_block_size(monkeypatch):
+    for ladder in _each_block_ladder(monkeypatch):
         for case, want, got in zip(cases, dense, fits()):
-            assert got.breakpoints == want.breakpoints, (size, case)
-            assert got.total_score == want.total_score, (size, case)
+            assert got.breakpoints == want.breakpoints, (ladder, case)
+            assert got.total_score == want.total_score, (ladder, case)
 
 
 def _two_regimes(n, p, b, seed, scale=1.0):
@@ -229,6 +234,17 @@ def _two_regimes(n, p, b, seed, scale=1.0):
     y = np.where(np.arange(n) < b, X[:, 0] * 2.0, -X[:, -1] * 2.0)
     y = y + 0.5 * rng.standard_normal(n)
     return Dataset(y=scale * y, X=X)
+
+
+def _many_regimes(n, p, breaks, seed):
+    """A sample whose regimes change at ``breaks``, each with its own
+    coefficients drawn at random."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, p))
+    coef = 2.0 * rng.standard_normal((len(breaks) + 1, p))
+    regime = np.searchsorted(breaks, np.arange(n), side="right")
+    y = np.einsum("ij,ij->i", X, coef[regime]) + 0.5 * rng.standard_normal(n)
+    return Dataset(y=y, X=X)
 
 
 def _all_pairs(n, min_len):
@@ -265,8 +281,8 @@ def test_pruned_matches_dense_bridge(monkeypatch):
     _assert_same_search(monkeypatch, ds, range(3), BRIDGE)
 
 
-# 42 is the first node of a block at every forced size, 41 and 43 are one
-# sample off it; 85 is a multiple of none of the sizes.
+# 42 is the first node of a block at every level of every forced ladder,
+# 41 and 43 are one sample off it; 85 is a multiple of none of the sizes.
 @pytest.mark.parametrize("b", [41, 42, 43])
 def test_pruned_matches_dense_around_block_edges(monkeypatch, b):
     ds = _two_regimes(n=85, p=3, b=b, seed=23)
@@ -284,6 +300,14 @@ def test_pruned_matches_dense_when_the_block_grid_has_no_partition(monkeypatch):
     # block starts at size 7 miss it, so that level scores no incumbent
     ds = _two_regimes(n=36, p=2, b=12, seed=31)
     _assert_same_search(monkeypatch, ds, range(3), LASSO, min_len=12)
+
+
+@pytest.mark.parametrize("config", [ADAPTIVE, LASSO], ids=["adaptive", "lasso"])
+def test_pruned_matches_dense_with_eight_breaks(monkeypatch, config):
+    # Many breaks let many coarse blocks survive, so every level of the
+    # ladder (16, 4, 1 at n = 200) passes blocks on to the next.
+    ds = _many_regimes(n=200, p=2, breaks=(20, 41, 62, 85, 105, 127, 150, 173), seed=41)
+    _assert_same_exact(monkeypatch, ds, (7, 8), config, min_len=12)
 
 
 def test_tie_keeps_lexicographically_smallest(monkeypatch):
@@ -659,8 +683,8 @@ def test_pruned_grid_selection_matches_dense_grid(monkeypatch, layout):
         ]
 
     dense = _with_dense_grid(monkeypatch, selection)
-    for size in _each_block_size(monkeypatch):
-        assert selection() == dense, size
+    for ladder in _each_block_ladder(monkeypatch):
+        assert selection() == dense, ladder
 
 
 @pytest.mark.parametrize("grid_step", [None, 5], ids=["exact", "grid-5"])
@@ -848,11 +872,8 @@ def test_block_bound_below_every_segment_in_its_block(design):
         assert (block > 0.0).any() == positive, size
 
 
-def test_exact_fit_at_n1500_bounds_few_segments(monkeypatch):
-    # A deterministic proxy for the run time of an exact n = 1500 fit: the
-    # per-segment bounds were nearly all of it before the block pass.
-    spec, config = table_preset(5)
-    ds = replication_dataset(spec, 0)
+def _count_bounded(monkeypatch):
+    """List that receives the row count of every ``_rss_bounds`` call."""
     rows = []
     original = segmentation._rss_bounds
 
@@ -861,6 +882,15 @@ def test_exact_fit_at_n1500_bounds_few_segments(monkeypatch):
         return original(stats, pairs, slack)
 
     monkeypatch.setattr(segmentation, "_rss_bounds", counting)
+    return rows
+
+
+def test_exact_fit_at_n1500_bounds_few_segments(monkeypatch):
+    # A deterministic proxy for the run time of an exact n = 1500 fit: the
+    # per-segment bounds were nearly all of it before the block pass.
+    spec, config = table_preset(5)
+    ds = replication_dataset(spec, 0)
+    rows = _count_bounded(monkeypatch)
     fit = optimal_breakpoints(ds, 2, config)
     monkeypatch.undo()
     m = effective_min_seg_len(config, None, ds.p)
@@ -872,6 +902,45 @@ def test_exact_fit_at_n1500_bounds_few_segments(monkeypatch):
     two_stage = refit_breakpoints_two_stage(ds, 2, config, grid_step=20).total_score
     for other in (true_score, two_stage):
         assert fit.total_score <= other * (1.0 + 1e-9), (fit.total_score, other)
+
+
+def test_two_stage_fit_at_n1500_bounds_few_rows(monkeypatch):
+    # A deterministic proxy for the run time of the two-stage n = 1500 fit
+    # at grid step 20, of which the bounds were the largest part: its 76
+    # grid nodes get a pass over blocks of 4, where the per-segment pass
+    # alone bounded all 2,847 admissible grid segments (3,011 rows with the
+    # refinement windows).
+    spec, config = table_preset(5)
+    ds = replication_dataset(spec, 0)
+    rows = _count_bounded(monkeypatch)
+    fit = refit_breakpoints_two_stage(ds, 2, config, grid_step=20)
+    assert fit.breakpoints == (200, 400)
+    assert sum(rows) < 1000, rows
+
+
+def test_exact_fit_at_n5000_with_eight_breaks_bounds_few_rows(monkeypatch):
+    # A deterministic proxy for the run time of a many-break exact fit: a
+    # poor coarse incumbent lets most blocks survive.  A single coarse
+    # level of side 35 expanded each into its 1,225 segments and bounded
+    # 27% of the admissible segments; a pass of the ladder expands each
+    # surviving block pair into 16.
+    _, config = table_preset(1)
+    n, k = 5000, 8
+    breaks = tuple(round(n * (r + 1) / (k + 1)) for r in range(k))
+    coef = [REGIME_COEFFICIENTS[r % len(REGIME_COEFFICIENTS)] for r in range(k + 1)]
+    spec = ScenarioSpec(n=n, breakpoints=breaks, coefficient_vectors=coef, seed=0)
+    ds = generate_scenario(spec)
+    rows = _count_bounded(monkeypatch)
+    fit = optimal_breakpoints(ds, k, config)
+    monkeypatch.undo()
+    m = effective_min_seg_len(config, None, ds.p)
+    admissible = (n + 1 - m) * (n + 2 - m) // 2
+    assert sum(rows) < admissible // 50, (rows, admissible)
+    assert fit.breakpoints == breaks
+
+    truth = np.array([0, *breaks, n])
+    true_score = pair_costs(ds, np.column_stack([truth[:-1], truth[1:]]), config).sum()
+    assert fit.total_score <= true_score * (1.0 + 1e-9), (fit.total_score, true_score)
 
 
 def test_exact_fit_at_n5000_holds_no_dense_table():

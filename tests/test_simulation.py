@@ -63,6 +63,19 @@ class TestErrorSpec:
             ErrorSpec(family="student_t")  # df required
 
     @pytest.mark.parametrize(
+        "field, value",
+        [("std", np.nan), ("std", np.inf), ("df", np.nan), ("df", np.inf)],
+        ids=["std-nan", "std-inf", "df-nan", "df-inf"],
+    )
+    @pytest.mark.parametrize("family", ["gaussian", "student_t"])
+    def test_non_finite_values_rejected(self, family, field, value):
+        # a NaN std made every error NaN, and sample_limit_law then put all
+        # of its draws at the first offset of the window, with no escapes
+        values = {"df": 5.0, field: value}
+        with pytest.raises(ValueError, match=repr(field)):
+            ErrorSpec(family=family, **values)
+
+    @pytest.mark.parametrize(
         "spec",
         [
             ErrorSpec(family="gaussian", std=1.5),
