@@ -14,6 +14,7 @@ request, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -562,7 +563,9 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; each parse starts from its defaults."""
     parser = argparse.ArgumentParser(
         prog="segbreak",
         description="Breakpoint and sparse coefficient estimation for "

@@ -7,18 +7,18 @@ the attained per-segment penalized minimum, with the tuning constant
 over a table of segment costs; ties resolve to the lexicographically
 smallest breakpoint vector.
 
-Every segment cost a search compares comes from one vectorized engine,
-``pair_costs``, that works on cumulative sufficient statistics (running
-X'X, X'y, y'y), so each candidate segment costs O(p^2) regardless of its
-length.  ``_chunk_costs`` is the one place that solves each penalty
-family: ``solvers._batch_cd`` on a whole stack of segment problems at
-once for the lasso family, the ridge closed form, the batched concave
-bridge, and the smooth bridge exponents (gamma > 1 other than 2) one
-problem at a time.  Every search step takes the search's ``_Search``,
-whose record solves each segment at most once and keeps its fit, so the
-reported fits of the chosen segments are taken from the search's own
-solves, checked against the rows (``_report_fit``); ``segment_cost`` runs
-the engine on a stack of one.  ``select_k`` solves every admissible
+Every segment cost a search compares comes from one vectorized engine
+on cumulative sufficient statistics (running X'X, X'y, y'y), so each
+candidate segment costs O(p^2) regardless of its length.
+``_chunk_costs`` solves each penalty family (``solvers._batch_cd`` on a
+whole stack for the lasso family, the ridge closed form, the batched
+concave bridge, the smooth bridge one problem at a time) and returns
+each segment's cost and coefficients.  Every search, and ``pair_costs``,
+calls it through the record of a ``_Search``, which solves each segment
+at most once, so the chosen segments' fits are the search's own solves.
+Every fit is reported by one batched step, ``_report_fits``, which
+derives the adaptive weights; ``segment_cost`` solves and reports one
+segment from its rows.  ``select_k`` solves every admissible
 segment once for all K.  A single K-break search (``optimal_breakpoints``
 over every sample position, the coarse grid of the approximate
 ``refit_breakpoints_two_stage``) instead keeps a list of segments:
@@ -109,13 +109,13 @@ def segment_cost(dataset: Dataset, rng, config: PenaltyConfig):
     """Fit one segment under the configured penalty and return its SegmentFit.
 
     The tuning constant is ``config.lambda_scale * (length)**rho``.  The
-    fit is the cost engine's on a stack of one (see ``pair_costs``), whose
-    Gram-form problem is built from the segment's rows, and it is reported
-    as the fits of a search's chosen segments are.  When the tuning
-    constant is zero the segment is fitted by least squares (the
-    minimum-norm solution where the segment is shorter than p or its Gram
-    matrix is singular).  An adaptive fit whose weights are unavailable
-    falls back to the unweighted lasso and reports ``weights_used`` as None.
+    engine (``_chunk_costs``) solves, and ``_report_fits`` reports, the
+    Gram-form problem built from the segment's rows, not from cumulative
+    sums.  When the tuning constant is zero the segment is fitted by least
+    squares (the minimum-norm solution where the segment is shorter than
+    p or its Gram matrix is singular).  An adaptive fit whose weights are
+    unavailable falls back to the unweighted lasso and reports
+    ``weights_used`` as None.
     """
     rng = _as_range(rng)
     if rng.end > dataset.n:
@@ -123,44 +123,55 @@ def segment_cost(dataset: Dataset, rng, config: PenaltyConfig):
     X = dataset.X[rng.start : rng.end]
     y = dataset.y[rng.start : rng.end]
     pairs = np.array([[rng.start, rng.end]], dtype=np.int64)
-    _, coefs, w, fallback = _chunk_costs(
-        dataset, pairs, (X.T @ X)[None], (X.T @ y)[None], np.array([y @ y]), config
-    )
-    weights = None if fallback is None or fallback[0] else w[0]
-    return _report_fit(dataset, rng, coefs[0], weights, config)
+    G, b = (X.T @ X)[None], (X.T @ y)[None]
+    _, coefs = _chunk_costs(dataset, pairs, G, b, np.array([y @ y]), config)
+    return _report_fits(dataset, pairs, G, b, coefs, config)[0]
 
 
-def _report_fit(dataset: Dataset, rng: SegmentRange, phi, weights, config: PenaltyConfig):
-    """SegmentFit of the engine's coefficients ``phi`` for the segment
-    ``rng``, as every fit is reported.
+def _report_fits(dataset: Dataset, pairs, G, b, coefs, config: PenaltyConfig) -> list:
+    """SegmentFits of the engine's coefficients ``coefs`` for the segments
+    in ``pairs``, whose Gram-form problems ``G``, ``b`` the engine solved.
 
-    A lasso-family fit (adaptive, or gamma = 1) with lam > 0 must first
-    pass ``kkt_check`` at 1e-6 beyond the drift that the stopping rule
-    leaves: a coordinate is exactly stationary once updated, and the rest
-    of a last sweep, in which no coordinate moves more than
-    ``cd_tolerance``, shifts its correlation ``2 X_k'(y - X phi)`` by at
-    most ``2 cd_tolerance sum_{j != k} |X_j'X_k|`` (far below 1e-6 of the
-    scale at the default tolerance); otherwise ConsistencyError is raised.
+    Adaptive weights come from those problems by the engine's rule (None
+    where it fell back to the unweighted lasso).  A lasso-family fit
+    (adaptive, or gamma = 1) with lam > 0 must then pass ``kkt_check`` at
+    1e-6 beyond the drift that the stopping rule leaves: a coordinate is
+    exactly stationary once updated, and the rest of a last sweep, in
+    which no coordinate moves more than ``cd_tolerance``, shifts its
+    correlation ``2 X_k'(y - X phi)`` by at most ``2 cd_tolerance sum_{j
+    != k} |X_j'X_k|`` (far below 1e-6 of the scale at the default
+    tolerance); otherwise ConsistencyError is raised.
     ``solvers.wrap_coefficients`` then applies the zero clamp and
     recomputes the RSS and penalty from the rows of ``X`` and ``y``.  A
     least-squares fit (lam = 0) is reported with exponent 1 and unclamped.
     """
-    X, y = dataset.X[rng.start : rng.end], dataset.y[rng.start : rng.end]
-    lam = config.lambda_scale * lambda_for_segment(rng, config.rho)
-    if lam == 0.0:
-        return solvers.wrap_coefficients(X, y, phi, 0.0)
+    weights = [None] * len(pairs)
+    if config.family == FAMILY_ADAPTIVE and config.lambda_scale > 0.0:
+        phi_ls, full = _least_squares(dataset, pairs, G, b)
+        w = _adaptive_weights(phi_ls, full, config.g)
+        weights = [w_m if ok else None for w_m, ok in zip(w, full)]
     gamma = 1.0 if config.family == FAMILY_ADAPTIVE else config.gamma
-    if gamma == 1.0:
-        G = np.abs(X.T @ X)
-        drift = 2.0 * config.cd_tolerance * np.max(G.sum(axis=1) - np.diag(G))
-        report = solvers.kkt_check(phi, X, y, lam, weights)
-        if not report.worst_violation <= report.tolerance + drift / report.scale:
-            raise ConsistencyError(
-                f"segment ({rng.start}, {rng.end}] is not stationary: worst "
-                f"violation {report.worst_violation:.3e} at coordinate "
-                f"{report.worst_index}"
-            )
-    return solvers.wrap_coefficients(X, y, phi, lam, gamma, weights, config.effective_zero_clamp)
+    fits = []
+    for (start, end), phi, w in zip(pairs.tolist(), coefs, weights):
+        X, y = dataset.X[start:end], dataset.y[start:end]
+        lam = config.lambda_scale * lambda_for_segment((start, end), config.rho)
+        if lam == 0.0:
+            fits.append(solvers.wrap_coefficients(X, y, phi, 0.0))
+            continue
+        if gamma == 1.0:
+            XX = np.abs(X.T @ X)
+            drift = 2.0 * config.cd_tolerance * np.max(XX.sum(axis=1) - np.diag(XX))
+            report = solvers.kkt_check(phi, X, y, lam, w)
+            if not report.worst_violation <= report.tolerance + drift / report.scale:
+                raise ConsistencyError(
+                    f"segment ({start}, {end}] is not stationary: worst "
+                    f"violation {report.worst_violation:.3e} at coordinate "
+                    f"{report.worst_index}"
+                )
+        fits.append(solvers.wrap_coefficients(
+            X, y, phi, lam, gamma, w, config.effective_zero_clamp
+        ))
+    return fits
 
 
 # ---------------------------------------------------------------------------
@@ -245,12 +256,11 @@ def pair_costs(dataset: Dataset, pairs, config: PenaltyConfig) -> np.ndarray:
     """Penalized minimum cost for each half-open segment in ``pairs``.
 
     ``pairs`` is an integer array of shape (M, 2) of (start, end) bounds.
-    Every family is solved in ``_chunk_costs``, a chunk of segments at a
-    time (the smooth bridge one segment at a time within it), so each
-    cost matches ``segment_cost(...).penalized_cost`` within the rounding
-    of the cumulative sums.  Raises AdaptiveUnavailableError for an
-    adaptive segment without least-squares weights when
-    ``config.adaptive_fallback`` is off.
+    The costs are a fresh ``_Search``'s (repeated or reordered pairs get
+    the same bits), so each matches ``segment_cost(...).penalized_cost``
+    within the rounding of the cumulative sums.  Raises
+    AdaptiveUnavailableError for an adaptive segment without least-squares
+    weights when ``config.adaptive_fallback`` is off.
     """
     pairs = np.asarray(pairs, dtype=np.int64)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
@@ -260,37 +270,18 @@ def pair_costs(dataset: Dataset, pairs, config: PenaltyConfig) -> np.ndarray:
             raise EmptySegmentError("pairs contain an empty segment")
         if (pairs[:, 0] < 0).any() or (pairs[:, 1] > dataset.n).any():
             raise EmptySegmentError("pairs reach outside the sample")
-    return _pair_costs(dataset, _cumulative_stats(dataset), pairs, config)[0]
-
-
-def _pair_costs(dataset: Dataset, stats, pairs: np.ndarray, config: PenaltyConfig):
-    """``pair_costs`` of valid ``pairs``, given the cumulative ``stats``,
-    with the fit behind each cost.  Returns ``(costs, coefs, w,
-    fallback)``: the costs, the (M, p) stack of coefficients that attain
-    them, and for an adaptive penalty the (M, p) weight stack and the mask
-    of rows that fell back to the unweighted lasso (both None otherwise).
-    """
-    costs = np.empty(len(pairs))
-    coefs = np.empty((len(pairs), dataset.p))
-    weighted = config.family == FAMILY_ADAPTIVE and config.lambda_scale > 0.0
-    w = np.empty((len(pairs), dataset.p)) if weighted else None
-    fallback = np.empty(len(pairs), dtype=bool) if weighted else None
-    for sl, G, b, yy in _segment_stacks(stats, pairs):
-        costs[sl], coefs[sl], w_sl, fallback_sl = _chunk_costs(dataset, pairs[sl], G, b, yy, config)
-        if weighted:
-            w[sl], fallback[sl] = w_sl, fallback_sl
-    return costs, coefs, w, fallback
+    return _Search(dataset, config, 1).costs(pairs[:, 0], pairs[:, 1])
 
 
 def _chunk_costs(dataset, pairs, G, b, yy, config):
-    """``_pair_costs`` of one chunk of Gram-form segment problems: the one
-    place that solves each penalty family.  ``_least_squares`` gives the
-    fits at lam = 0, the adaptive weights and the concave bridge's second
-    start."""
+    """Costs of one chunk of Gram-form segment problems and the (M, p)
+    stack of coefficients that attain them: the one place that solves each
+    penalty family.  ``_least_squares`` gives the fits at lam = 0, the
+    adaptive weights and the concave bridge's second start."""
     p = b.shape[1]
     if config.lambda_scale == 0.0:
         phi, _ = _least_squares(dataset, pairs, G, b)
-        return solvers.gram_objective(G, b, yy, 0.0, phi), phi, None, None
+        return solvers.gram_objective(G, b, yy, 0.0, phi), phi
 
     lengths = pairs[:, 1] - pairs[:, 0]
     lam = config.lambda_scale * lengths.astype(np.float64) ** config.rho
@@ -309,14 +300,14 @@ def _chunk_costs(dataset, pairs, G, b, yy, config):
         if gamma != 2.0:
             # the reported bridge fit is clamped, and so is its cost
             phi[np.abs(phi) <= config.effective_zero_clamp] = 0.0
-        return solvers.gram_objective(G, b, yy, lam, phi, gamma), phi, None, None
+        return solvers.gram_objective(G, b, yy, lam, phi, gamma), phi
 
-    fallback, w = None, np.ones((b.shape[0], p))
+    w = np.ones((b.shape[0], p))
     if config.family == FAMILY_ADAPTIVE:
         phi, full = _least_squares(dataset, pairs, G, b)
-        w, fallback = _adaptive_weights(phi, full, config.g), ~full
-        if not config.adaptive_fallback and fallback.any():
-            a, bnd = pairs[np.argmax(fallback)]
+        w = _adaptive_weights(phi, full, config.g)
+        if not config.adaptive_fallback and not full.all():
+            a, bnd = pairs[np.argmin(full)]
             raise AdaptiveUnavailableError(
                 f"segment ({a}, {bnd}] has no least-squares weights: it is "
                 f"shorter than p={p} or its Gram matrix is singular"
@@ -331,7 +322,7 @@ def _chunk_costs(dataset, pairs, G, b, yy, config):
             phi[i], dataset.X[a:bnd], dataset.y[a:bnd], lam[i], w[i],
             config.cd_max_iterations,
         )
-    return solvers.gram_objective(G, b, yy, lam, phi, weights=w), phi, w, fallback
+    return solvers.gram_objective(G, b, yy, lam, phi, weights=w), phi
 
 
 class _Search:
@@ -339,13 +330,12 @@ class _Search:
     ``_cumulative_stats``, the ``slack`` of its bounds and pruning tests,
     and the record of the segments it has solved.
 
-    Each solved segment's cost, coefficients, adaptive weights and
-    fallback flag (``_pair_costs``'s four outputs) are kept in arrays,
-    sorted by the key ``start * (n + 1) + end``.  ``rows`` solves, in one
-    engine call, only the segments not yet in the record, so a search
-    solves each segment at most once; an engine row does not depend on its
-    stack mates, so a fit taken from the record has the bits of a fresh
-    solve.
+    Each solved segment's cost and coefficients (``_chunk_costs``'s two
+    outputs) are kept in arrays, sorted by the key ``start * (n + 1) +
+    end``.  ``rows`` solves, in one engine call, only the segments not yet
+    in the record, so a search solves each segment at most once; an engine
+    row does not depend on its stack mates, so a fit taken from the record
+    has the bits of a fresh solve.
     """
 
     def __init__(self, dataset: Dataset, config: PenaltyConfig, min_len: int):
@@ -353,7 +343,8 @@ class _Search:
         self.stats = _cumulative_stats(dataset)
         self.slack = _BOUND_SLACK * float(self.stats[2][-1])
         self.key = np.empty(0, dtype=np.int64)
-        self.cost = self.coefs = self.w = self.fallback = None
+        self.cost = np.empty(0)
+        self.coefs = np.empty((0, dataset.p))
 
     def rows(self, starts, ends) -> np.ndarray:
         """Record rows of the segments (starts[m], ends[m]], solving the
@@ -366,19 +357,15 @@ class _Search:
         known[known] = self.key[at[known]] == key[known]
         new = _distinct(key[~known])
         del key, at, known  # a dense table's index arrays would add to its peak
-        if self.cost is None or len(new):  # the first call sets the arrays up
-            fits = _pair_costs(
-                self.dataset, self.stats, np.column_stack(np.divmod(new, n1)), self.config
-            )
-            if self.cost is None:
-                self.key, (self.cost, self.coefs, self.w, self.fallback) = new, fits
-            else:
-                into = np.searchsorted(self.key, new)
-                self.key = np.insert(self.key, into, new)
-                self.cost, self.coefs, self.w, self.fallback = (
-                    None if old is None else np.insert(old, into, add, axis=0)
-                    for old, add in zip((self.cost, self.coefs, self.w, self.fallback), fits)
-                )
+        if len(new):
+            pairs = np.column_stack(np.divmod(new, n1))
+            cost, coefs = np.empty(len(new)), np.empty((len(new), self.dataset.p))
+            for sl, G, b, yy in _segment_stacks(self.stats, pairs):
+                cost[sl], coefs[sl] = _chunk_costs(self.dataset, pairs[sl], G, b, yy, self.config)
+            into = np.searchsorted(self.key, new)
+            self.key = np.insert(self.key, into, new)
+            self.cost = np.insert(self.cost, into, cost)
+            self.coefs = np.insert(self.coefs, into, coefs, axis=0)
         return np.searchsorted(self.key, starts * n1 + ends)
 
     def costs(self, starts, ends) -> np.ndarray:
@@ -673,28 +660,27 @@ def _assemble_fits(search: _Search, partitions, totals):
     search's record, which solves (in one engine call) only segments the
     search has not.
 
-    Each segment is reported by ``_report_fit``, which checks a
-    lasso-family fit for stationarity and recomputes its RSS and penalty
-    from the rows of ``X`` and ``y`` at the reported (clamped)
-    coefficients.  A partition's total must then match its search total
-    (from ``totals``, or the record's costs where that is None) within
-    1e-9 relative.  Either failure raises ConsistencyError.
+    All segments are reported by one ``_report_fits`` call, on Gram-form
+    problems differenced from the statistics as the engine's were; it
+    checks a lasso-family fit for stationarity and recomputes each RSS and
+    penalty from the rows at the reported (clamped) coefficients.  A
+    partition's total must then match its search total (from ``totals``,
+    or the record's costs where that is None) within 1e-9 relative.
+    Either failure raises ConsistencyError.
     """
     dataset, config = search.dataset, search.config
     ranges = [segment_ranges(bp, dataset.n) for bp in partitions]
     pairs = np.array([(r.start, r.end) for rs in ranges for r in rs], dtype=np.int64)
-    rows = search.rows(*pairs.reshape(-1, 2).T)
+    pairs = pairs.reshape(-1, 2)  # (0, 2) when no partition is asked for
+    j1, j2 = pairs.T
+    rows = search.rows(j1, j2)
+    cum_xx, cum_xy, _ = search.stats
+    G, b = cum_xx[j2] - cum_xx[j1], cum_xy[j2] - cum_xy[j1]
+    fits = _report_fits(dataset, pairs, G, b, search.coefs[rows], config)
     out, m = [], 0
     for bp, rs, expected in zip(partitions, ranges, totals):
-        fits = []
-        for rng in rs:
-            row = rows[m]
-            weights = None
-            if search.fallback is not None and not search.fallback[row]:
-                weights = search.w[row].copy()  # not a view that holds the record
-            fits.append(_report_fit(dataset, rng, search.coefs[row], weights, config))
-            m += 1
-        total = float(sum(f.penalized_cost for f in fits))
+        segment_fits, m = fits[m : m + len(rs)], m + len(rs)
+        total = float(sum(f.penalized_cost for f in segment_fits))
         if expected is None:
             expected = float(search.cost[rows[m - len(rs) : m]].sum())
         if not abs(total - expected) <= 1e-9 * max(1.0, abs(expected)):
@@ -703,7 +689,7 @@ def _assemble_fits(search: _Search, partitions, totals):
                 f"{expected!r}"
             )
         out.append(ChangePointFit(
-            k=len(rs) - 1, breakpoints=tuple(bp), segment_fits=tuple(fits),
+            k=len(rs) - 1, breakpoints=tuple(bp), segment_fits=tuple(segment_fits),
             total_score=total, family=config.family,
         ))
     return out

@@ -107,9 +107,9 @@ def select_k(
     and the fits of every K come from that one solve.  With ``grid_step``,
     each K runs ``refit_breakpoints_two_stage`` on that search.
     """
-    search = _checked_search(dataset, penalty, criterion)
     if grid_step is not None and grid_step < 1:
         raise ValueError("grid_step must be >= 1")
+    search = _checked_search(dataset, penalty, criterion)
     ks = range(criterion.k_max + 1)
     feasible = [k for k in ks if (k + 1) * search.min_len <= dataset.n]
     if grid_step is None:

@@ -218,6 +218,10 @@ class TestFit:
         code, out, _ = _run(capsys, ["fit", data_file, "--k", "1", "--center"])
         assert code == 0
         assert json.loads(out)["config"]["input"]["center"] is True
+        # the parser is built once per process, but no flag carries over
+        code, out, _ = _run(capsys, ["fit", data_file, "--k", "1"])
+        assert code == 0
+        assert json.loads(out)["config"]["input"]["center"] is False
 
     def test_infeasible_k_exits_three(self, capsys, data_file):
         code, _, err = _run(capsys, ["fit", data_file, "--k", "10"])
@@ -329,6 +333,12 @@ class TestSimulate:
         doc = json.loads(out)
         assert doc["config"]["selection_mode"] == "criterion"
         assert doc["results"]["selected_k_counts"] is not None
+        # a later call in the same process is back in fixed-K mode
+        code, out, _ = _run(
+            capsys, ["simulate", "--scenario", scenario_file, "--reps", "2", "--workers", "1"]
+        )
+        assert code == 0
+        assert json.loads(out)["config"]["selection_mode"] == "fixed_k"
 
     def test_scenario_validation(self, capsys, tmp_path):
         bad_json = tmp_path / "bad.json"

@@ -15,10 +15,10 @@ and pin the typed consistency error that replaced the runtime asserts (it
 must fire under ``python -O`` too).  They also hold the searches exact
 when the least-squares incumbents are scored below the optimum (the
 certificate must catch it), count the engine calls of an exact fit and
-the dynamic programs of each fit, hold
-each reported fit to the engine's row of its segment, hold the
-bound-pruned refinement windows to whole ones, and hold ``select_k`` to one
-solve per segment in either mode.
+the dynamic programs of each fit, hold each reported fit, and its
+weights, to the engine's row and rule for its segment, hold the
+bound-pruned refinement windows to whole ones, and hold ``select_k`` to
+one solve per segment in either mode.
 """
 
 import subprocess
@@ -52,13 +52,16 @@ from segbreak import segmentation, selection
 from segbreak.segmentation import (
     _BOUND_SLACK,
     _Search,
+    _adaptive_weights,
     _assemble_fits,
     _block_bounds,
     _blocks,
     _cumulative_stats,
     _dp_minimize,
+    _least_squares,
     _least_through,
     _rss_bounds,
+    _segment_stacks,
 )
 
 ADAPTIVE = PenaltyConfig()
@@ -406,13 +409,13 @@ def test_segment_list_programs_match_dense_matrices():
 def _count_solved(monkeypatch):
     """List that receives the row count of every batched cost call."""
     solved = []
-    original = segmentation._pair_costs
+    original = segmentation._chunk_costs
 
-    def counting(dataset, stats, pairs, cfg):
+    def counting(dataset, pairs, G, b, yy, cfg):
         solved.append(len(pairs))
-        return original(dataset, stats, pairs, cfg)
+        return original(dataset, pairs, G, b, yy, cfg)
 
-    monkeypatch.setattr(segmentation, "_pair_costs", counting)
+    monkeypatch.setattr(segmentation, "_chunk_costs", counting)
     return solved
 
 
@@ -474,18 +477,18 @@ def test_certificate_keeps_searches_exact_below_the_optimum(monkeypatch, layout,
 
 
 def _count_engine_calls(monkeypatch):
-    """Dict of the ``_pair_costs`` and ``solvers._batch_cd`` call counts,
-    and of the ``_pair_costs`` calls made inside ``_assemble_fits``."""
-    calls = {"pair_costs": 0, "batch_cd": 0, "in_assemble": 0}
+    """Dict of the ``_chunk_costs`` and ``solvers._batch_cd`` call counts,
+    and of the ``_chunk_costs`` calls made inside ``_assemble_fits``."""
+    calls = {"chunk_costs": 0, "batch_cd": 0, "in_assemble": 0}
     inside = [False]
-    pair_costs_, batch_cd, assemble = (
-        segmentation._pair_costs, segmentation.solvers._batch_cd, segmentation._assemble_fits
+    chunk_costs, batch_cd, assemble = (
+        segmentation._chunk_costs, segmentation.solvers._batch_cd, segmentation._assemble_fits
     )
 
-    def counting_pairs(*args):
-        calls["pair_costs"] += 1
+    def counting_chunks(*args):
+        calls["chunk_costs"] += 1
         calls["in_assemble"] += inside[0]
-        return pair_costs_(*args)
+        return chunk_costs(*args)
 
     def counting_cd(*args):
         calls["batch_cd"] += 1
@@ -498,7 +501,7 @@ def _count_engine_calls(monkeypatch):
         finally:
             inside[0] = False
 
-    monkeypatch.setattr(segmentation, "_pair_costs", counting_pairs)
+    monkeypatch.setattr(segmentation, "_chunk_costs", counting_chunks)
     monkeypatch.setattr(segmentation.solvers, "_batch_cd", counting_cd)
     monkeypatch.setattr(segmentation, "_assemble_fits", flagged)
     return calls
@@ -513,7 +516,7 @@ def test_exact_fit_makes_one_engine_call(monkeypatch, rep):
     ds = replication_dataset(spec, rep)
     calls = _count_engine_calls(monkeypatch)
     optimal_breakpoints(ds, 2, config)
-    assert calls == {"pair_costs": 1, "batch_cd": 1, "in_assemble": 0}
+    assert calls == {"chunk_costs": 1, "batch_cd": 1, "in_assemble": 0}
 
 
 def _record_programs(monkeypatch):
@@ -548,36 +551,56 @@ def test_fit_runs_each_program_once(monkeypatch, layout, rep, grid_step):
     assert len(set(programs)) == len(programs)
 
 
-@pytest.mark.parametrize("config", FAMILIES_WITH_BRIDGE, ids=FAMILY_IDS_WITH_BRIDGE)
-def test_reported_fits_are_the_engine_rows(monkeypatch, config):
+@pytest.mark.parametrize(
+    "config, min_len",
+    [*((config, None) for config in FAMILIES_WITH_BRIDGE), (ADAPTIVE, 3)],
+    ids=[*FAMILY_IDS_WITH_BRIDGE, "adaptive-short"],
+)
+def test_reported_fits_are_the_engine_rows(monkeypatch, config, min_len):
     # Each reported fit's coefficients before the zero clamp are the bits
     # the engine gives that segment solved alone: the record's row does
-    # not depend on the segments it was solved with.
+    # not depend on the segments it was solved with.  Its weights are the
+    # bits the engine's rule gives the lone segment, None where it has no
+    # least-squares weights (segments shorter than p + 1 admit such rows).
     reported = []
-    report = segmentation._report_fit
+    report = segmentation._report_fits
 
-    def recording(dataset, rng, phi, weights, cfg):
-        reported.append((rng, phi.copy()))
-        return report(dataset, rng, phi, weights, cfg)
+    def recording(dataset, pairs, G, b, coefs, cfg):
+        fits = report(dataset, pairs, G, b, coefs, cfg)
+        reported.extend(zip(pairs.tolist(), coefs.copy(), (f.weights_used for f in fits)))
+        return fits
 
-    monkeypatch.setattr(segmentation, "_report_fit", recording)
+    monkeypatch.setattr(segmentation, "_report_fits", recording)
     spec, _ = table_preset(1)
     samples = [replication_dataset(spec, rep) for rep in range(2)]
     if config is BRIDGE:  # the concave bridge is slow on the preset's dense table
         samples = [_two_regimes(n=30, p=2, b=12, seed=3)]
+    if min_len is not None:  # replication 1 stalls on a short dense-table segment
+        samples = samples[:1]
+    criterion = CriterionConfig(k_max=3, min_seg_len=min_len)
+    fallbacks = 0
     for ds in samples:
         for k in range(4):
-            optimal_breakpoints(ds, k, config)
+            optimal_breakpoints(ds, k, config, criterion)
             if k:
-                refit_breakpoints_two_stage(ds, k, config, grid_step=5)
-        select_k(ds, config, CriterionConfig(k_max=3))
-        select_k(ds, config, CriterionConfig(k_max=3), grid_step=5)
-        stats = _cumulative_stats(ds)
-        for rng, phi in reported:
-            pair = np.array([[rng.start, rng.end]])
-            alone = segmentation._pair_costs(ds, stats, pair, config)[1][0]
-            assert np.array_equal(phi, alone), rng
+                refit_breakpoints_two_stage(ds, k, config, criterion, grid_step=5)
+        select_k(ds, config, criterion)
+        select_k(ds, config, criterion, grid_step=5)
+        assert reported
+        for pair, phi, weights in reported:
+            alone = _Search(ds, config, 1)
+            row = alone.rows(*np.array([pair]).T)[0]  # before alone.coefs is read: it grows
+            assert np.array_equal(phi, alone.coefs[row]), pair
+            want = None
+            if config is ADAPTIVE:
+                (_, G, b, _), = _segment_stacks(alone.stats, np.array([pair]))
+                phi_ls, full = _least_squares(ds, np.array([pair]), G, b)
+                if full[0]:
+                    want = _adaptive_weights(phi_ls, full, config.g)[0].tobytes()
+            assert (weights if weights is None else weights.tobytes()) == want, pair
+            fallbacks += config is ADAPTIVE and weights is None
         reported.clear()
+    assert (fallbacks > 0) == (min_len is not None)
 
 
 def _without_window_bound(monkeypatch, run):
@@ -692,13 +715,13 @@ def test_pruned_grid_selection_matches_dense_grid(monkeypatch, layout):
 def test_select_k_solves_each_segment_at_most_once(monkeypatch, layout, grid_step):
     # every K of one select_k call draws on the same record of solved fits
     seen = []
-    original = segmentation._pair_costs
+    original = segmentation._chunk_costs
 
-    def recording(dataset, stats, pairs, cfg):
+    def recording(dataset, pairs, G, b, yy, cfg):
         seen.extend(map(tuple, pairs.tolist()))
-        return original(dataset, stats, pairs, cfg)
+        return original(dataset, pairs, G, b, yy, cfg)
 
-    monkeypatch.setattr(segmentation, "_pair_costs", recording)
+    monkeypatch.setattr(segmentation, "_chunk_costs", recording)
     spec, config = table_preset(layout)
     select_k(replication_dataset(spec, 0), config, CriterionConfig(k_max=3), grid_step=grid_step)
     assert seen

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import segbreak.segmentation as segmentation_module
 import segbreak.selection as selection_module
 from segbreak import (
     ChangePointFit,
@@ -163,6 +164,16 @@ class TestSelectK:
         staged = select_k(ds, PenaltyConfig(), CriterionConfig(), grid_step=5)
         assert staged.k_hat == exact.k_hat
         assert staged.best_fit.breakpoints == exact.best_fit.breakpoints
+
+    def test_bad_grid_step_raises_before_any_statistics(self, monkeypatch):
+        # the step is checked before the search builds its cumulative sums
+        def unreachable(dataset):
+            raise AssertionError("cumulative statistics built for a bad grid_step")
+
+        monkeypatch.setattr(segmentation_module, "_cumulative_stats", unreachable)
+        ds = _one_break(n=60, b=30, seed=47)
+        with pytest.raises(ValueError, match="grid_step must be >= 1"):
+            select_k(ds, PenaltyConfig(), CriterionConfig(), grid_step=0)
 
 
 class TestStandardErrors:
