@@ -14,6 +14,7 @@ worker processes.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -55,6 +56,8 @@ TABLE_LAYOUTS = {
 }
 
 _ERROR_FAMILIES = ("gaussian", "uniform", "student_t")
+# sample_limit_law draws each chunk's covariates and then its errors, so the
+# chunk size fixes the order of draws: changing it changes every sample.
 _LIMIT_CHUNK = 20000
 
 
@@ -458,6 +461,15 @@ class LimitLawSample:
     z_mean: dict[int, float]
 
 
+def _finite_vector(values, name: str) -> np.ndarray:
+    out = np.asarray(values, dtype=np.float64)
+    if out.ndim != 1:
+        raise ValueError(f"{name!r} must be 1-D, got shape {out.shape}")
+    if not np.isfinite(out).all():
+        raise ValueError(f"{name!r} must be finite")
+    return out
+
+
 def sample_limit_law(
     phi_left,
     phi_right,
@@ -479,14 +491,21 @@ def sample_limit_law(
     ``window`` steps per side; draws whose argmin lands on the edge are
     counted and a WindowTooSmallWarning is emitted if they exceed 1% of
     the total.  Ties resolve to the smallest |j|, then the smaller j.
+
+    Draws are taken in chunks of at most ``_LIMIT_CHUNK``; the covariates
+    of a chunk are drawn about 1 MiB at a time and kept only as their
+    projection on the regime difference, so working memory is
+    O(chunk * window) and independent of p.
     """
+    window = operator.index(window)
+    draws = operator.index(draws)
     if window < 1:
         raise ValueError("window must be >= 1")
     if draws < 1:
         raise ValueError("draws must be >= 1")
-    phi_left = np.asarray(phi_left, dtype=np.float64)
-    phi_right = np.asarray(phi_right, dtype=np.float64)
-    means = np.asarray(covariate_means, dtype=np.float64)
+    phi_left = _finite_vector(phi_left, "phi_left")
+    phi_right = _finite_vector(phi_right, "phi_right")
+    means = _finite_vector(covariate_means, "covariate_means")
     if phi_left.shape != phi_right.shape or phi_left.shape != means.shape:
         raise ValueError("phi_left, phi_right, covariate_means must share a shape")
     error = error or ErrorSpec()
@@ -503,14 +522,21 @@ def sample_limit_law(
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     counts = np.zeros(2 * window + 1, dtype=np.int64)
     z_sum = np.zeros(2 * window + 1)
+    # about 1 MiB of covariates at a time, filled in the generator's order
+    block = np.empty((max(1, (1 << 17) // (window * max(p, 1))), window, p))
     done = 0
     while done < draws:
         c = min(_LIMIT_CHUNK, draws - done)
         vals = np.zeros((c, 2 * window + 1))
+        proj = np.empty((c, window))
         for cols, diff in ((slice(2, None, 2), d_pos), (slice(1, None, 2), d_neg)):
-            X = rng.standard_normal((c, window, p)) + means
+            for start in range(0, c, block.shape[0]):
+                rows = block[: c - start]
+                rng.standard_normal(out=rows)
+                rows += means
+                proj[start : start + rows.shape[0]] = rows @ diff
             e = error.draw(rng, (c, window))
-            steps = (e - X @ diff) ** 2 - e**2
+            steps = (e - proj) ** 2 - e**2
             vals[:, cols] = np.cumsum(steps, axis=1)
         picked = np.argmin(vals, axis=1)
         counts += np.bincount(picked, minlength=2 * window + 1)

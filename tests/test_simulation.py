@@ -1,6 +1,8 @@
 """Scenario generation, Monte Carlo aggregation, and the limit-law sampler."""
 
 import dataclasses
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -322,6 +324,39 @@ class TestLowerMedian:
         assert _lower_median([5]) == 5
 
 
+def _whole_array_limit_law(phi_left, phi_right, means, error, window, draws, seed):
+    """Reference: the sampler drawing each half-chunk's covariates as one
+    chunk x window x p array, in the same generator order."""
+    d_pos = phi_left - phi_right
+    p = phi_left.shape[0]
+    col_offsets = np.empty(2 * window + 1, dtype=np.int64)
+    col_offsets[0] = 0
+    col_offsets[1::2] = -np.arange(1, window + 1)
+    col_offsets[2::2] = np.arange(1, window + 1)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    counts = np.zeros(2 * window + 1, dtype=np.int64)
+    z_sum = np.zeros(2 * window + 1)
+    done = 0
+    while done < draws:
+        c = min(simulation._LIMIT_CHUNK, draws - done)
+        vals = np.zeros((c, 2 * window + 1))
+        for cols, diff in ((slice(2, None, 2), d_pos), (slice(1, None, 2), -d_pos)):
+            X = rng.standard_normal((c, window, p)) + means
+            e = error.draw(rng, (c, window))
+            steps = (e - X @ diff) ** 2 - e**2
+            vals[:, cols] = np.cumsum(steps, axis=1)
+        counts += np.bincount(np.argmin(vals, axis=1), minlength=2 * window + 1)
+        z_sum += vals.sum(axis=0)
+        done += c
+    order = np.argsort(col_offsets)
+    return (
+        {int(col_offsets[i]): int(counts[i]) for i in order},
+        {int(col_offsets[i]): counts[i] / draws for i in order},
+        int(counts[2 * window - 1] + counts[2 * window]) / draws,
+        {int(col_offsets[i]): z_sum[i] / draws for i in order},
+    )
+
+
 class TestSampleLimitLaw:
     def _sample(self, **kw):
         args = dict(
@@ -378,13 +413,76 @@ class TestSampleLimitLaw:
             )
         assert s.escape_rate > 0.01
 
-    def test_validation(self):
+    def test_validation(self, monkeypatch):
         with pytest.raises(ValueError):
             self._sample(window=0)
         with pytest.raises(ValueError):
             self._sample(draws=0)
         with pytest.raises(ValueError):
             sample_limit_law(np.zeros(3), np.zeros(2), np.zeros(3))
+        # a NaN or infinite input used to return every draw at offset -1
+        bad = np.array(REGIME_COEFFICIENTS[0])
+        bad[4] = np.nan
+        with pytest.raises(ValueError, match="'phi_left' must be finite"):
+            self._sample(phi_left=bad)
+        with pytest.raises(ValueError, match="'phi_right' must be finite"):
+            self._sample(phi_right=-bad)
+        means = default_covariate_means(10)
+        means[2] = np.inf
+        with pytest.raises(ValueError, match="'covariate_means' must be finite"):
+            self._sample(covariate_means=means)
+        # equal 2-D shapes used to reach numpy's broadcasting error
+        with pytest.raises(ValueError, match="'phi_left' must be 1-D"):
+            sample_limit_law(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="'covariate_means' must be 1-D"):
+            sample_limit_law(np.zeros(3), np.ones(3), np.zeros((1, 3)))
+        # a float count used to fail only after the first 20,000 draws
+        monkeypatch.setattr(
+            np.random, "default_rng", lambda *a: pytest.fail("drew before validating")
+        )
+        with pytest.raises(TypeError):
+            self._sample(draws=25000.0)
+
+    @pytest.mark.parametrize("p", [3, 10])
+    @pytest.mark.parametrize(
+        "error",
+        [ErrorSpec(), ErrorSpec(family="uniform"), ErrorSpec(family="student_t", df=5.0)],
+        ids=["gaussian", "uniform", "student_t"],
+    )
+    def test_stream_matches_whole_array_reference(self, error, p):
+        left = np.array(REGIME_COEFFICIENTS[0][:p])
+        right = np.array(REGIME_COEFFICIENTS[1][:p])
+        means = default_covariate_means(p)
+        for window, draws in (
+            (1, 1), (1, 45001), (5, 999), (5, 45001), (30, 1), (30, 999), (30, 20000)
+        ):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", WindowTooSmallWarning)
+                s = sample_limit_law(
+                    left, right, means, error, window=window, draws=draws, seed=7
+                )
+            counts, probabilities, escape_rate, z_mean = _whole_array_limit_law(
+                left, right, means, error, window, draws, seed=7
+            )
+            case = (window, draws)
+            assert s.counts == counts, case
+            assert s.probabilities == probabilities, case
+            assert s.escape_rate == escape_rate, case
+            assert list(s.z_mean) == list(z_mean), case
+            assert np.array(list(s.z_mean.values())).tobytes() == (
+                np.array(list(z_mean.values())).tobytes()
+            ), case
+
+    def test_memory_independent_of_chunk_covariates(self):
+        # the whole-array loop peaked at 156.6 MiB here: three
+        # chunk x window x p arrays of 48 MB each
+        tracemalloc.start()
+        try:
+            self._sample(window=30, draws=20000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20
 
 
 class TestWriteDataset:
