@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -88,14 +90,32 @@ class CliInputError(SegbreakError):
     """Malformed input file or inconsistent flags."""
 
 
+# Line boundaries that str.splitlines honours besides "\n" (open() already
+# turns "\r" and "\r\n" into "\n"); np.loadtxt splits lines on "\n" only.
+_OTHER_LINE_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
 def _read_matrix(path: str, header: bool, delimiter: str | None) -> np.ndarray:
     """Parse a delimited numeric file; cite row and column on failure.
 
     Rows and columns are reported 1-based, counting physical lines of the
     file (a skipped header line keeps its line number).
+
+    With the delimiter sniffed, one ``np.loadtxt`` call reads the text first
+    (split on commas if the text holds one, else on whitespace).  Its array
+    is kept only if the call raised and warned nothing, the array has a row
+    and two columns and holds only finite values, and the text has no line
+    boundary but the newline (``_OTHER_LINE_BREAKS``).  Every other file
+    goes through the per-line reader below.  That reader gives every kept
+    array too, so the fast path changes no result and no error message.
     """
     with open(path) as fh:
-        lines = fh.read().splitlines()
+        text = fh.read()
+    if delimiter is None:
+        matrix = _load_text(text, header)
+        if matrix is not None:
+            return matrix
+    lines = text.splitlines()
     rows = []
     width = None
     skip_first = header
@@ -133,6 +153,29 @@ def _read_matrix(path: str, header: bool, delimiter: str | None) -> np.ndarray:
             f"{path}: need a response column plus at least one covariate"
         )
     return np.array(rows, dtype=np.float64)
+
+
+def _load_text(text: str, header: bool) -> np.ndarray | None:
+    """``np.loadtxt``'s array of ``text``, or None where ``_read_matrix``
+    must read it line by line."""
+    if any(mark in text for mark in _OTHER_LINE_BREAKS):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            matrix = np.loadtxt(
+                io.StringIO(text),
+                dtype=np.float64,
+                comments=None,
+                delimiter="," if "," in text else None,
+                skiprows=1 if header else 0,
+                ndmin=2,
+            )
+    except (ValueError, Warning):
+        return None
+    if matrix.shape[0] < 1 or matrix.shape[1] < 2 or not np.isfinite(matrix).all():
+        return None
+    return matrix
 
 
 def _fields(path: str, lineno: int, parts) -> list:

@@ -180,12 +180,16 @@ def _report_fits(dataset: Dataset, pairs, G, b, coefs, config: PenaltyConfig) ->
 def _cumulative_stats(dataset: Dataset):
     X, y = dataset.X, dataset.y
     n, p = X.shape
+    # the products are written into the outputs and summed in place, so no
+    # temporary as large as an output is made
     cum_xx = np.zeros((n + 1, p, p))
-    np.cumsum(np.einsum("ni,nj->nij", X, X), axis=0, out=cum_xx[1:])
+    np.einsum("ni,nj->nij", X, X, out=cum_xx[1:])
     cum_xy = np.zeros((n + 1, p))
-    np.cumsum(X * y[:, None], axis=0, out=cum_xy[1:])
+    np.multiply(X, y[:, None], out=cum_xy[1:])
     cum_yy = np.zeros(n + 1)
-    np.cumsum(y * y, out=cum_yy[1:])
+    np.multiply(y, y, out=cum_yy[1:])
+    for cum in (cum_xx, cum_xy, cum_yy):
+        np.cumsum(cum[1:], axis=0, out=cum[1:])
     return cum_xx, cum_xy, cum_yy
 
 

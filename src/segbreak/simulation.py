@@ -569,10 +569,9 @@ def write_dataset(dataset: Dataset, path, delimiter: str = " ") -> None:
     Values are rendered with shortest round-trip precision, so reading the
     file back reproduces the arrays exactly.
     """
+    rows = np.column_stack((dataset.y, dataset.X)).tolist()
     with open(path, "w") as fh:
-        for i in range(dataset.n):
-            row = (dataset.y[i], *dataset.X[i])
-            fh.write(delimiter.join(repr(float(v)) for v in row) + "\n")
+        fh.writelines(delimiter.join(map(repr, row)) + "\n" for row in rows)
 
 
 def table_preset(

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -149,6 +150,183 @@ class TestInputErrors:
             capsys, ["fit", str(semi), "--min-seg", "3", "--delimiter", ";"]
         )
         assert code == 0
+
+
+def _per_line_reader(path, header, delimiter):
+    """The reader without its np.loadtxt fast path: every line is split and
+    converted on its own."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    rows = []
+    width = None
+    skip_first = header
+    for lineno, line in enumerate(lines, start=1):
+        if skip_first:
+            skip_first = False
+            continue
+        if not line.strip():
+            continue
+        if delimiter is not None:
+            parts = line.split(delimiter)
+        elif "," in line:
+            parts = line.split(",")
+        else:
+            parts = line.split()
+        try:
+            values = list(map(float, parts))
+        except ValueError:
+            values = None
+        if values is None or not all(map(math.isfinite, values)):
+            values = []
+            for colno, token in enumerate(parts, start=1):
+                token = token.strip()
+                try:
+                    value = float(token)
+                except ValueError:
+                    raise cli.CliInputError(
+                        f"{path}: could not parse {token!r} at row {lineno}, "
+                        f"column {colno}"
+                    ) from None
+                if not math.isfinite(value):
+                    raise cli.CliInputError(
+                        f"{path}: non-finite value at row {lineno}, column {colno}"
+                    )
+                values.append(value)
+        if width is None:
+            width = len(values)
+        elif len(values) != width:
+            raise cli.CliInputError(
+                f"{path}: row {lineno} has {len(values)} fields, expected {width}"
+            )
+        rows.append(values)
+    if not rows:
+        raise cli.CliInputError(f"{path}: no data rows")
+    if width < 2:
+        raise cli.CliInputError(
+            f"{path}: need a response column plus at least one covariate"
+        )
+    return np.array(rows, dtype=np.float64)
+
+
+def _read_outcome(reader, path, header, delimiter):
+    """The array a reader returns, or the message of the error it raises."""
+    try:
+        return reader(path, header, delimiter)
+    except cli.CliInputError as exc:
+        return str(exc)
+
+
+def _assert_same_outcome(got, want):
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert isinstance(got, np.ndarray), got
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))  # keeps -0.0
+
+
+# Tokens that float() and numpy's parser treat differently or that sit on
+# the edge of either: numpy rejects the first three, which float() reads, and
+# float() rejects the \x1f-padded ones, which the per-line reader strips.
+_TOKENS = ["1_0", "\u0661", "\u0661.5", "\x1f3", "4\x1f", "\xa01", "1.", ".5", "+1",
+           "-0", "1E+3", "1e999", "infinity", "nan", "", "0x10", "1d3", "#1"]
+_TEXTS = {
+    **{f"comma-first-{i}": f"{tok},2\n3,4\n5,6\n" for i, tok in enumerate(_TOKENS)},
+    **{f"comma-later-{i}": f"1,2\n3,{tok}\n5,6\n" for i, tok in enumerate(_TOKENS)},
+    **{f"space-first-{i}": f"{tok} 2\n3 4\n5 6\n" for i, tok in enumerate(_TOKENS)},
+    **{f"space-later-{i}": f"1 2\n3 {tok}\n5 6\n" for i, tok in enumerate(_TOKENS)},
+    "trailing-comma": "1,2,\n3,4,\n",
+    "trailing-space": "1 2 \n3 4\t\n",
+    "comma": "1.5,2\n-3,4e-2\n5,6\n",
+    "spaces-and-tabs": " 1.5  2\t7\n-3 4e-2 8\n",
+    "comma-then-space-rows": "1,2\n3 4\n5,6\n",
+    "space-then-comma-rows": "1 2\n3,4\n5 6\n",
+    "comma-with-spaces": "1, 2\n3 ,4\n",
+    "crlf": "1 2\r\n3 4\r\n5,6\r\n",
+    "lone-cr": "1,2\r3,4\r5,6",
+    "form-feed": "1 2\x0c3 4\n5 6\x0c7 8\n",
+    "record-separator": "1,2\x1e3,4\n5,6\x1e7,8\n",
+    "line-separator": "1 2\u20283 4\n5 6\u20287 8\n",
+    "unit-separator-line": "1 2\n\x1f\n3 4\n",
+    "blank-lines": "\n1 2\n\n3 4\n\n",
+    "whitespace-lines": "1 2\n   \n3 4\n\t\n",
+    "comma-whitespace-lines": "1,2\n  \n3,4\n",
+    "blank-first-line": "\n1,2\n3,4\n",
+    "header-row": "y x\n1 2\n3 4\n",
+    "comma-header-row": "y,x\n1,2\n3,4\n",
+    "comma-header-space-rows": "y,x\n1 2\n3 4\n",
+    "header-only": "y,x\n",
+    "one-row": "1 2 3\n",
+    "one-column": "1\n2\n",
+    "ragged": "1 2\n3 4 5\n",
+    "no-final-newline": "1 2\n3 4",
+    "empty": "",
+}
+
+
+class TestReaderParity:
+    """The reader returns what the per-line reader returns, array or error,
+    whether or not its np.loadtxt fast path takes the file."""
+
+    @pytest.mark.parametrize("header", [False, True], ids=["no-header", "header"])
+    @pytest.mark.parametrize("name", list(_TEXTS))
+    def test_sniffed(self, tmp_path, name, header):
+        path = tmp_path / "data.txt"
+        path.write_bytes(_TEXTS[name].encode())
+        _assert_same_outcome(
+            _read_outcome(cli._read_matrix, str(path), header, None),
+            _read_outcome(_per_line_reader, str(path), header, None),
+        )
+
+    @pytest.mark.parametrize(
+        "text, delimiter",
+        [("1;2\n3;4\n", ";"), ("1, 2\n3,4\n", ","), ("1 2\n3 4\n", ","),
+         ("1\t2\n3\t4\n", "\t"), ("1;2;\n3;4;\n", ";")],
+        ids=["semicolon", "comma", "comma-absent", "tab", "trailing-semicolon"],
+    )
+    def test_explicit_delimiter(self, tmp_path, text, delimiter):
+        path = tmp_path / "data.txt"
+        path.write_bytes(text.encode())
+        for header in (False, True):
+            _assert_same_outcome(
+                _read_outcome(cli._read_matrix, str(path), header, delimiter),
+                _read_outcome(_per_line_reader, str(path), header, delimiter),
+            )
+
+    def test_fast_path_reads_preset_files(self, tmp_path):
+        path = tmp_path / "data.txt"
+        write_dataset(generate_scenario(one_break_spec(n=60, breakpoint=30, seed=0)), path)
+        want = _per_line_reader(str(path), False, None)
+        _assert_same_outcome(cli._load_text(path.read_text(), False), want)
+        _assert_same_outcome(cli._read_matrix(str(path), False, None), want)
+
+    def test_line_break_gate_is_needed(self, tmp_path, monkeypatch):
+        # np.loadtxt splits lines on "\n" only and takes a form feed for
+        # whitespace; without the gate this file reads as 2 x 4, not 4 x 2
+        path = tmp_path / "data.txt"
+        path.write_bytes(_TEXTS["form-feed"].encode())
+        assert cli._read_matrix(str(path), False, None).shape == (4, 2)
+        monkeypatch.setattr(cli, "_OTHER_LINE_BREAKS", ())
+        assert cli._read_matrix(str(path), False, None).shape == (2, 4)
+
+    @pytest.mark.parametrize("action", ["error", "always"])
+    @pytest.mark.parametrize(
+        "text, header",
+        [("", False), ("", True), ("y x\n", True), ("\n\n  \n", False), ("\n\n  \n", True)],
+        ids=["empty", "empty-header", "header-only", "blank-lines", "blank-lines-header"],
+    )
+    def test_no_warning_leaks(self, capsys, tmp_path, text, header, action):
+        path = tmp_path / "data.txt"
+        path.write_text(text)
+        flags = ["--header"] if header else []
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            with pytest.raises(cli.CliInputError, match="no data rows"):
+                cli._read_matrix(str(path), header, None)
+            code, out, err = _run(capsys, ["fit", str(path), *flags])
+        assert caught == []
+        assert (code, out, err) == (2, "", f"error: {path}: no data rows\n")
 
 
 class TestFamilyFlags:

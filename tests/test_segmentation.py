@@ -2,6 +2,7 @@
 
 import itertools
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from segbreak import (
     select_k,
 )
 from segbreak import solvers
+from segbreak.segmentation import _cumulative_stats
 from segbreak.simulation import replication_dataset, table_preset
 from segbreak.solvers import _FACE_EVERY, _batch_cd, face_step
 
@@ -531,6 +533,44 @@ class TestSegmentCostMatchesSearch:
         for cost, (a, b) in zip(pair_costs(ds, pairs, config), pairs):
             r = y[a:b] - X[a:b] @ np.linalg.lstsq(X[a:b], y[a:b], rcond=None)[0]
             assert cost == pytest.approx(r @ r, rel=1e-9, abs=1e-9), (a, b)
+
+
+def _cumulative_stats_with_temporaries(ds):
+    """The cumulative X'X, X'y and y'y summed from whole product arrays."""
+    X, y = ds.X, ds.y
+    n, p = X.shape
+    cum_xx = np.zeros((n + 1, p, p))
+    np.cumsum(np.einsum("ni,nj->nij", X, X), axis=0, out=cum_xx[1:])
+    cum_xy = np.zeros((n + 1, p))
+    np.cumsum(X * y[:, None], axis=0, out=cum_xy[1:])
+    cum_yy = np.zeros(n + 1)
+    np.cumsum(y * y, out=cum_yy[1:])
+    return cum_xx, cum_xy, cum_yy
+
+
+class TestCumulativeStats:
+    @pytest.mark.parametrize("p", [1, 10])
+    @pytest.mark.parametrize("n", [1, 1500, 20000])
+    def test_equal_to_summing_product_arrays(self, n, p):
+        rng = np.random.default_rng(n + p)
+        scale = 10.0 ** rng.choice([-5, 0, 5], size=(n, 1))
+        ds = Dataset(y=rng.standard_normal(n) * scale[:, 0], X=rng.standard_normal((n, p)) * scale)
+        got = _cumulative_stats(ds)
+        want = _cumulative_stats_with_temporaries(ds)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and np.array_equal(g, w)
+
+    def test_peak_memory_is_the_outputs(self):
+        # summing whole product arrays peaks at 1.8 times the outputs
+        rng = np.random.default_rng(3)
+        ds = Dataset(y=rng.standard_normal(20000), X=rng.standard_normal((20000, 10)))
+        tracemalloc.start()
+        try:
+            out = _cumulative_stats(ds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * sum(a.nbytes for a in out)
 
 
 class TestCostTable:

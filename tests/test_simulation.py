@@ -9,6 +9,7 @@ import pytest
 
 from segbreak import (
     CriterionConfig,
+    Dataset,
     ErrorSpec,
     InfeasiblePartitionError,
     LimitLawSample,
@@ -485,6 +486,14 @@ class TestSampleLimitLaw:
         assert peak < 48 * 2**20
 
 
+def _write_row_by_row(dataset, path, delimiter=" "):
+    """Each row's values rendered one by one, a line written per row."""
+    with open(path, "w") as fh:
+        for i in range(dataset.n):
+            row = (dataset.y[i], *dataset.X[i])
+            fh.write(delimiter.join(repr(float(v)) for v in row) + "\n")
+
+
 class TestWriteDataset:
     def test_round_trip_exact(self, tmp_path):
         ds = generate_scenario(_small_spec(n=25, b=12, seed=29))
@@ -493,6 +502,28 @@ class TestWriteDataset:
         mat = _read_matrix(str(path), header=False, delimiter=None)
         np.testing.assert_array_equal(mat[:, 0], ds.y)
         np.testing.assert_array_equal(mat[:, 1:], ds.X)
+
+    @pytest.mark.parametrize("delimiter", [" ", ","])
+    @pytest.mark.parametrize(
+        "y, X",
+        [
+            ([-0.0, 5e-324, 1e308], [[1e308, -0.0], [0.1, -5e-324], [1.0, 2.5]]),
+            ([-0.0], [[5e-324]]),
+            ([1.0, -1e308, 0.3], [[-0.0], [7.0], [1e-300]]),
+        ],
+        ids=["edge-values", "n1-p1", "p1"],
+    )
+    def test_bytes_equal_row_by_row_writer(self, tmp_path, y, X, delimiter):
+        ds = Dataset(y=y, X=X)
+        write_dataset(ds, tmp_path / "new.txt", delimiter)
+        _write_row_by_row(ds, tmp_path / "old.txt", delimiter)
+        assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()
+
+    def test_preset_bytes_equal_row_by_row_writer(self, tmp_path):
+        ds = replication_dataset(table_preset(5, seed=0)[0], 0)
+        write_dataset(ds, tmp_path / "new.txt")
+        _write_row_by_row(ds, tmp_path / "old.txt")
+        assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()
 
 
 class TestPresets:
