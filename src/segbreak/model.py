@@ -17,6 +17,8 @@ the internal integers coincide with the reported ones.
 from __future__ import annotations
 
 import dataclasses
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +35,16 @@ FAMILY_ADAPTIVE = "adaptive"
 
 COMPLEXITY_K_ONLY = "K_only"
 COMPLEXITY_K_TIMES_P = "K_times_p"
+
+
+def check_sweep_budget(tol, max_iter, names=("tol", "max_iter")) -> None:
+    """Raise ValueError unless ``tol`` is finite and above 0 and
+    ``max_iter`` is an integer of at least 1: the stopping rule of every
+    coordinate-descent solve.  ``names`` name the two in the message."""
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"{names[0]} must be finite and positive, got {tol!r}")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 1:
+        raise ValueError(f"{names[1]} must be an integer >= 1, got {max_iter!r}")
 
 
 def _readonly(values, dtype=np.float64, ndmin: int = 0) -> np.ndarray:
@@ -182,10 +194,9 @@ class PenaltyConfig:
             raise ValueError(f"rho must lie in (0, 1/2], got {self.rho}")
         if self.family == FAMILY_ADAPTIVE and not 0.0 < self.g < 0.25:
             raise ValueError(f"g must lie in (0, 1/4), got {self.g}")
-        if not self.cd_tolerance > 0:
-            raise ValueError("cd_tolerance must be positive")
-        if self.cd_max_iterations < 1:
-            raise ValueError("cd_max_iterations must be >= 1")
+        check_sweep_budget(
+            self.cd_tolerance, self.cd_max_iterations, ("cd_tolerance", "cd_max_iterations")
+        )
         if self.zero_clamp is not None and self.zero_clamp < 0:
             raise ValueError("zero_clamp must be nonnegative")
         if self.lambda_scale < 0:

@@ -161,6 +161,21 @@ class TestPenaltyConfig:
         with pytest.raises(ValueError):
             PenaltyConfig(family="lasso_type", gamma=0.0)
 
+    @pytest.mark.parametrize(
+        "budget",
+        [{"cd_tolerance": 0.0}, {"cd_tolerance": -1e-8}, {"cd_tolerance": float("nan")},
+         {"cd_tolerance": float("inf")}, {"cd_max_iterations": 0},
+         {"cd_max_iterations": 2.5}, {"cd_max_iterations": True}],
+    )
+    def test_sweep_budget_checked(self, budget):
+        # an infinite tolerance stops every solve after one sweep, and a
+        # fractional budget fails only deep inside the engine
+        with pytest.raises(ValueError):
+            PenaltyConfig(**budget)
+
+    def test_numpy_integer_budget_accepted(self):
+        assert PenaltyConfig(cd_max_iterations=np.int64(50)).cd_max_iterations == 50
+
     def test_zero_clamp_defaults(self):
         assert PenaltyConfig().effective_zero_clamp == 0.0
         assert PenaltyConfig(family="lasso_type", gamma=1.0).effective_zero_clamp == 0.0

@@ -25,7 +25,15 @@ from segbreak import (
     ridge,
     wrap_coefficients,
 )
-from segbreak.solvers import _batch_cd, _gram_scores, face_step, face_steps, gram_objective
+from segbreak.solvers import (
+    _FACE_EVERY,
+    _SCALAR_LIVE,
+    _batch_cd,
+    _gram_scores,
+    face_step,
+    face_steps,
+    gram_objective,
+)
 
 
 def _problem(m=50, p=5, seed=1, sigma=0.5):
@@ -252,6 +260,18 @@ class TestLassoCd:
         with pytest.raises(NoConvergenceError):
             lasso_cd(X, y, 4.0, max_iter=1)
 
+    @pytest.mark.parametrize(
+        "budget",
+        [{"tol": 0.0}, {"tol": -1.0}, {"tol": np.nan}, {"tol": np.inf},
+         {"max_iter": 0}, {"max_iter": -3}, {"max_iter": 2.5}],
+    )
+    def test_sweep_budget_checked(self, budget):
+        # a negative or NaN tolerance would spend the whole budget, and no
+        # sweep at all would return the zero vector as a fit
+        X, y, _ = _problem()
+        with pytest.raises(ValueError):
+            lasso_cd(X, y, 1.0, **budget)
+
 
 def _descent_design(name, seed=0):
     """Designs on which coordinate descent takes many sweeps."""
@@ -287,6 +307,145 @@ class TestCoordinateDescentDescent:
         for before, after in zip(values, values[1:]):
             assert after <= before + 1e-9 * abs(before)
         assert values[-1] < values[0]
+
+
+def _handover_stack():
+    """Gram-form problems (p = 5) of one stack that leave it at different
+    sweeps: two plain designs, a near-collinear pair of columns (x3 = x1 +
+    1e-7 * noise), a column that is zero inside the segment, an infinite
+    weight on a correlated design, and an ill-conditioned design with a
+    small penalty that needs more than 200 sweeps."""
+    rng = np.random.default_rng(35)
+    problems = []
+
+    def gram(X, y, lam, w):
+        return X.T @ X, X.T @ y, lam * np.asarray(w, dtype=float) / 2.0
+
+    for _ in range(2):
+        X = rng.standard_normal((40, 5))
+        y = X @ np.array([1.0, 2.0, 0.1, 0.0, -1.0]) + rng.standard_normal(40)
+        problems.append(gram(X, y, 40**0.45, np.ones(5)))
+    X = rng.standard_normal((30, 5))
+    X[:, 2] = X[:, 0] + 1e-7 * rng.standard_normal(30)
+    y = X @ np.array([3.0, -3.0, 0.0, 1.0, 0.0]) + 0.3 * rng.standard_normal(30)
+    problems.append(gram(X, y, 30**0.45, np.ones(5)))
+    X = rng.standard_normal((30, 5))
+    X[:, 3] = 0.0
+    y = X @ np.array([1.0, 0.0, -2.0, 0.0, 0.5]) + 0.3 * rng.standard_normal(30)
+    problems.append(gram(X, y, 30**0.45, np.ones(5)))
+    corr = 0.99 * np.ones((5, 5)) + 0.01 * np.eye(5)
+    X = rng.standard_normal((40, 5)) @ np.linalg.cholesky(corr).T
+    y = X @ np.array([2.0, 0.0, -1.5, 0.0, 0.7]) + 0.5 * rng.standard_normal(40)
+    problems.append(gram(X, y, 40**0.45, [1.0, np.inf, 0.5, 2.0, 1.0]))
+    U, _ = np.linalg.qr(rng.standard_normal((6, 5)))
+    V, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+    X = U @ np.diag(np.logspace(0.0, -2.0, 5)) @ V.T * 3.0
+    y = X @ (2.0 * rng.standard_normal(5)) + 0.1 * rng.standard_normal(6)
+    problems.append(gram(X, y, 0.01, np.ones(5)))
+    return [np.stack(parts) for parts in zip(*problems)]
+
+
+def _exit_sweep(G, b, thr, most=5000):
+    """Least budget at which the lone problem converges: the sweep at
+    which it leaves any stack it is solved in."""
+    lo, hi = 1, most
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _batch_cd(G[None], b[None], thr[None], 1e-8, mid)[1].size:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+class TestScalarFinish:
+    """Once at most ``_SCALAR_LIVE`` problems are live, ``_batch_cd``
+    finishes each alone in Python floats; no row may depend on the stack
+    it was solved in, nor on the sweep at which it was handed over."""
+
+    def test_stack_design(self):
+        # the problems leave the whole stack at sweeps 9-12, 171 and 551, so
+        # the whole stack hands over at sweep 13: after the face step at 10,
+        # before the one at 20, and not on a multiple of _FACE_EVERY
+        G, b, thr = _handover_stack()
+        exits = [_exit_sweep(*row) for row in zip(G, b, thr)]
+        handover = sorted(exits)[-_SCALAR_LIVE - 1] + 1
+        assert handover == 13 and _FACE_EVERY < handover < 2 * _FACE_EVERY
+        assert max(exits) > 200
+        assert len(set(exits)) >= 5
+
+    @pytest.mark.parametrize("max_iter", [5, 10, 13, 20, 200, 10_000])
+    def test_rows_match_lone_and_paired_solves(self, max_iter):
+        # budgets end before the hand-over (5, and 10 on a face-step sweep),
+        # on it (13), on the face-step sweep after it (20), with one problem
+        # still running (200) and with every problem converged (10,000)
+        G, b, thr = _handover_stack()
+        m = len(b)
+        with np.errstate(all="raise"):
+            whole, stalled = _batch_cd(G, b, thr, 1e-8, max_iter)
+            alone = [_batch_cd(G[[i]], b[[i]], thr[[i]], 1e-8, max_iter) for i in range(m)]
+            for i, (phi, _) in enumerate(alone):
+                assert np.array_equal(whole[i], phi[0]), i
+            assert stalled.tolist() == [i for i, (_, st) in enumerate(alone) if st.size]
+            for i in range(m):
+                for j in range(i + 1, m):
+                    pair, pair_stalled = _batch_cd(G[[i, j]], b[[i, j]], thr[[i, j]], 1e-8, max_iter)
+                    assert np.array_equal(pair, whole[[i, j]]), (i, j)
+                    assert [(i, j)[k] for k in pair_stalled] == [k for k in (i, j) if k in stalled]
+        if max_iter == 200:
+            assert stalled.tolist() == [m - 1]
+        elif max_iter == 10_000:
+            assert stalled.size == 0
+
+    def test_face_steps_keep_their_sweeps_after_the_hand_over(self):
+        # the slowest problem converges one sweep after the face step that
+        # ends its crawl, hundreds of sweeps after the whole stack handed
+        # over at sweep 13: it must take that step at the same sweep as
+        # alone and so leave at the same sweep, which holds only if the
+        # finish counts face-step sweeps from the start of the call
+        G, b, thr = _handover_stack()
+        last = len(b) - 1
+        exit_last = _exit_sweep(G[last], b[last], thr[last])
+        assert exit_last > 200 and exit_last % _FACE_EVERY == 1
+        for max_iter, stalled_rows in ((exit_last - 1, [last]), (exit_last, [])):
+            whole, stalled = _batch_cd(G, b, thr, 1e-8, max_iter)
+            lone, _ = _batch_cd(G[[last]], b[[last]], thr[[last]], 1e-8, max_iter)
+            assert stalled.tolist() == stalled_rows
+            assert np.array_equal(whole[last], lone[0])
+
+    def test_nan_problem_matches_its_whole_stack_row(self):
+        # a NaN correlation stays NaN through np.maximum and never settles,
+        # so the problem uses the whole budget in the stack and alone
+        G, b, thr = _handover_stack()
+        b = b.copy()
+        b[1, 2] = np.nan
+        whole, stalled = _batch_cd(G, b, thr, 1e-8, 40)
+        lone, lone_stalled = _batch_cd(G[[1]], b[[1]], thr[[1]], 1e-8, 40)
+        assert np.isnan(lone[0]).any() and lone_stalled.tolist() == [0]
+        assert stalled.tolist() == [1, 4, 5]
+        assert np.array_equal(whole[1], lone[0], equal_nan=True)
+
+    def test_stalled_indices_ascend(self):
+        # the two slowest problems first in the stack, then the rest: the
+        # stalled list still comes back sorted
+        G, b, thr = _handover_stack()
+        order = [5, 4, 0, 1, 2, 3]
+        _, stalled = _batch_cd(G[order], b[order], thr[order], 1e-8, 150)
+        assert stalled.tolist() == [0, 1]
+
+    def test_vecdot_rows_match_lone_dot_products(self):
+        # the whole-stack update takes np.vecdot over one column of every
+        # Gram matrix, the scalar finish ndarray.dot on the lone row: both
+        # must be the lone row's ``@`` bit for bit, at any stack size
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            m, p = int(rng.integers(1, 70)), int(rng.integers(1, 40))
+            G = rng.standard_normal((m, p, p)) * 10.0 ** rng.uniform(-3.0, 3.0)
+            x = rng.standard_normal((m, p)) * 10.0 ** rng.uniform(-3.0, 3.0)
+            k = int(rng.integers(p))
+            got = np.vecdot(G[:, k, :], x)
+            for i in range(m):
+                assert got[i] == G[i][k] @ x[i] == G[i][k].dot(x[i])
 
 
 class TestFaceStep:
@@ -412,6 +571,16 @@ class TestBridge:
             bridge(X, y, 1.0, 2.0)
         with pytest.raises(ValueError):
             bridge(X, y, 1.0, 0.0)
+
+    @pytest.mark.parametrize("gamma", [0.5, 1.5])
+    @pytest.mark.parametrize(
+        "budget", [{"tol": -1e-8}, {"tol": np.nan}, {"max_iter": 0}, {"max_iter": 1.0}]
+    )
+    def test_sweep_budget_checked(self, gamma, budget):
+        # max_iter=0 used to return the zero vector for gamma < 1
+        X, y, _ = _problem()
+        with pytest.raises(ValueError):
+            bridge(X, y, 1.0, gamma, **budget)
 
     def test_zero_lambda_matches_ols(self):
         X, y, _ = _problem(m=60, p=5, seed=83)
