@@ -301,8 +301,8 @@ def _penalty_doc(penalty: PenaltyConfig) -> dict:
         "g": penalty.g,
         "cd_tolerance": penalty.cd_tolerance,
         "cd_max_iterations": penalty.cd_max_iterations,
-        "zero_clamp": penalty.effective_zero_clamp,
-        "adaptive_fallback": penalty.adaptive_fallback,
+        "zero_clamp": penalty.zero_clamp,
+        "adaptive_fallback": True,
         "lambda_scale": penalty.lambda_scale,
     }
 
@@ -449,26 +449,6 @@ _SCENARIO_KEYS = {
 }
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_integer(value) -> bool:
-    return _is_number(value) and (isinstance(value, int) or value.is_integer())
-
-
-# What the values of these scenario keys must be; ScenarioSpec would
-# otherwise truncate them or fail with a bare TypeError.
-_SCENARIO_TYPES = {
-    "n": (_is_integer, "an integer"),
-    "breakpoints": (lambda v: isinstance(v, list) and all(map(_is_integer, v)),
-                    "a list of integers"),
-    "error_std": (_is_number, "a number"),
-    "error_df": (lambda v: v is None or _is_number(v), "a number or null"),
-    "seed": (lambda v: v is None or _is_integer(v), "an integer or null"),
-}
-
-
 def _load_scenario_file(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -486,17 +466,14 @@ def _load_scenario_file(path: str) -> dict:
     for key in ("n", "breakpoints", "coefficients"):
         if key not in data:
             raise CliInputError(f"{path}: scenario file is missing {key!r}")
-    for key, (valid, kind) in _SCENARIO_TYPES.items():
-        if key in data and not valid(data[key]):
-            raise CliInputError(f"{path}: {key!r} must be {kind}, got {data[key]!r}")
     return data
 
 
-def _resolve_seed(flag_seed: int | None, file_seed: int | None) -> int:
+def _resolve_seed(flag_seed: int | None, file_seed) -> int:
     if flag_seed is not None:
         return flag_seed
     if file_seed is not None:
-        return int(file_seed)
+        return file_seed  # ScenarioSpec checks it
     env = os.environ.get("SEGBREAK_SEED")
     if env is not None:
         try:
@@ -559,7 +536,7 @@ def _cmd_simulate(args) -> int:
         try:
             spec = ScenarioSpec(
                 n=data["n"],
-                breakpoints=tuple(data["breakpoints"]),
+                breakpoints=data["breakpoints"],
                 coefficient_vectors=data["coefficients"],
                 covariate_means=data.get("covariate_means"),
                 error_std=data.get("error_std", 1.0),

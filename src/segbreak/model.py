@@ -145,6 +145,12 @@ class SegmentRange:
 class PenaltyConfig:
     """Configuration of the per-segment penalized least-squares criterion.
 
+    It fixes each segment's objective: the tuning constant ``lambda =
+    lambda_scale * (segment length)**rho``, the penalty ``exponent`` and,
+    for the adaptive family, the weights.  An adaptive segment without
+    least-squares weights (shorter than p, or with a singular Gram matrix)
+    is fitted by the unweighted lasso.
+
     Parameters
     ----------
     family : str
@@ -156,23 +162,15 @@ class PenaltyConfig:
         Penalty exponent for the lasso_type family.  1 gives the lasso,
         2 gives ridge; other positive values give bridge penalties.
     rho : float
-        Exponent of the per-segment tuning constant
-        ``lambda = (segment length)**rho``.  Must lie in (0, 1/2].
+        Exponent of the per-segment tuning constant.  Must lie in (0, 1/2].
     g : float
         Weight exponent of the adaptive family.  Must lie in (0, 1/4).
     cd_tolerance, cd_max_iterations :
         Stopping rule of the coordinate-descent solver: sweeps end when the
         largest coefficient change in a sweep falls to ``cd_tolerance``.
-    zero_clamp : float or None
-        Magnitude below which fitted coefficients are snapped to exactly 0.
-        None selects 0 for exact-zero solvers (gamma = 1 and adaptive) and
-        1e-10 for the smooth penalties, which reach zero only in the limit.
-    adaptive_fallback : bool
-        Whether segments where least squares is unavailable fall back to the
-        unweighted lasso instead of raising.
     lambda_scale : float
-        Multiplier applied to ``(segment length)**rho``.  0 turns the
-        penalty off; used for unpenalized diagnostics.
+        Multiplier of ``(segment length)**rho``.  0 turns the penalty off;
+        used for unpenalized diagnostics.
     """
 
     family: str = FAMILY_ADAPTIVE
@@ -181,8 +179,6 @@ class PenaltyConfig:
     g: float = 0.2
     cd_tolerance: float = 1e-8
     cd_max_iterations: int = 10000
-    zero_clamp: float | None = None
-    adaptive_fallback: bool = True
     lambda_scale: float = 1.0
 
     def __post_init__(self):
@@ -197,18 +193,20 @@ class PenaltyConfig:
         check_sweep_budget(
             self.cd_tolerance, self.cd_max_iterations, ("cd_tolerance", "cd_max_iterations")
         )
-        if self.zero_clamp is not None and self.zero_clamp < 0:
-            raise ValueError("zero_clamp must be nonnegative")
         if self.lambda_scale < 0:
             raise ValueError("lambda_scale must be nonnegative")
 
     @property
-    def effective_zero_clamp(self) -> float:
-        if self.zero_clamp is not None:
-            return self.zero_clamp
-        if self.family == FAMILY_ADAPTIVE or self.gamma == 1.0:
-            return 0.0
-        return 1e-10
+    def exponent(self) -> float:
+        """Exponent of the penalty: 1 for the adaptive family, gamma otherwise."""
+        return 1.0 if self.family == FAMILY_ADAPTIVE else self.gamma
+
+    @property
+    def zero_clamp(self) -> float:
+        """Magnitude at or below which fitted coefficients are snapped to 0:
+        0 for the lasso penalties (exponent 1), whose solvers reach zero
+        exactly, and 1e-10 for the others, which reach it only in the limit."""
+        return 0.0 if self.exponent == 1.0 else 1e-10
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,10 @@
 
 The score of a candidate breakpoint vector is the sum over its segments of
 the attained per-segment penalized minimum, with the tuning constant
-``lambda = (segment length)**rho`` recomputed for every candidate segment.
-``optimal_breakpoints`` minimizes the score exactly by dynamic programming
-over a table of segment costs; ties resolve to the lexicographically
-smallest breakpoint vector.
+``lambda = (segment length)**rho`` recomputed for every candidate segment
+(``_lambdas``).  ``optimal_breakpoints`` minimizes the score exactly by
+dynamic programming over a table of segment costs; ties resolve to the
+lexicographically smallest breakpoint vector.
 
 Every segment cost a search compares comes from one vectorized engine
 on cumulative sufficient statistics (running X'X, X'y, y'y), so each
@@ -67,10 +67,18 @@ def _as_range(rng) -> SegmentRange:
 
 
 def lambda_for_segment(rng, rho: float) -> float:
-    """Per-segment tuning constant ``(j2 - j1)**rho`` for the range (j1, j2]."""
+    """Per-segment tuning constant ``(j2 - j1)**rho`` for the range (j1, j2],
+    with the bits of the engine's (``_lambdas``)."""
     if not 0.0 < rho <= 0.5:
         raise ValueError(f"rho must lie in (0, 1/2], got {rho}")
-    return float(_as_range(rng).length) ** rho
+    return float((np.array([_as_range(rng).length], dtype=np.float64) ** rho)[0])
+
+
+def _lambdas(config: PenaltyConfig, pairs) -> np.ndarray:
+    """Tuning constants ``lambda_scale * (end - start)**rho`` of the segments
+    in ``pairs``, the lambda of every fit.  The power is numpy's array power,
+    which can differ in the last bit from Python's scalar ``**``."""
+    return config.lambda_scale * (pairs[:, 1] - pairs[:, 0]).astype(np.float64) ** config.rho
 
 
 def adaptive_weights(dataset: Dataset, rng, g: float) -> np.ndarray:
@@ -108,8 +116,8 @@ def adaptive_weights(dataset: Dataset, rng, g: float) -> np.ndarray:
 def segment_cost(dataset: Dataset, rng, config: PenaltyConfig):
     """Fit one segment under the configured penalty and return its SegmentFit.
 
-    The tuning constant is ``config.lambda_scale * (length)**rho``.  The
-    engine (``_chunk_costs``) solves, and ``_report_fits`` reports, the
+    The objective is the one ``config`` fixes (``_lambdas``, ``exponent``).
+    The engine (``_chunk_costs``) solves, and ``_report_fits`` reports, the
     Gram-form problem built from the segment's rows, not from cumulative
     sums.  When the tuning constant is zero the segment is fitted by least
     squares (the minimum-norm solution where the segment is shorter than
@@ -134,14 +142,14 @@ def _report_fits(dataset: Dataset, pairs, G, b, coefs, config: PenaltyConfig) ->
 
     Adaptive weights come from those problems by the engine's rule (None
     where it fell back to the unweighted lasso).  A lasso-family fit
-    (adaptive, or gamma = 1) with lam > 0 must then pass ``kkt_check`` at
+    (exponent 1) with lam > 0 must then pass ``kkt_check`` at
     1e-6 beyond the drift that the stopping rule leaves: a coordinate is
     exactly stationary once updated, and the rest of a last sweep, in
     which no coordinate moves more than ``cd_tolerance``, shifts its
     correlation ``2 X_k'(y - X phi)`` by at most ``2 cd_tolerance sum_{j
     != k} |X_j'X_k|`` (far below 1e-6 of the scale at the default
     tolerance); otherwise ConsistencyError is raised.
-    ``solvers.wrap_coefficients`` then applies the zero clamp and
+    ``solvers.wrap_coefficients`` then applies ``config.zero_clamp`` and
     recomputes the RSS and penalty from the rows of ``X`` and ``y``.  A
     least-squares fit (lam = 0) is reported with exponent 1 and unclamped.
     """
@@ -150,11 +158,10 @@ def _report_fits(dataset: Dataset, pairs, G, b, coefs, config: PenaltyConfig) ->
         phi_ls, full = _least_squares(dataset, pairs, G, b)
         w = _adaptive_weights(phi_ls, full, config.g)
         weights = [w_m if ok else None for w_m, ok in zip(w, full)]
-    gamma = 1.0 if config.family == FAMILY_ADAPTIVE else config.gamma
+    gamma, lams = config.exponent, _lambdas(config, pairs).tolist()
     fits = []
-    for (start, end), phi, w in zip(pairs.tolist(), coefs, weights):
+    for (start, end), lam, phi, w in zip(pairs.tolist(), lams, coefs, weights):
         X, y = dataset.X[start:end], dataset.y[start:end]
-        lam = config.lambda_scale * lambda_for_segment((start, end), config.rho)
         if lam == 0.0:
             fits.append(solvers.wrap_coefficients(X, y, phi, 0.0))
             continue
@@ -169,7 +176,7 @@ def _report_fits(dataset: Dataset, pairs, G, b, coefs, config: PenaltyConfig) ->
                     f"{report.worst_index}"
                 )
         fits.append(solvers.wrap_coefficients(
-            X, y, phi, lam, gamma, w, config.effective_zero_clamp
+            X, y, phi, lam, gamma, w, config.zero_clamp
         ))
     return fits
 
@@ -261,10 +268,9 @@ def pair_costs(dataset: Dataset, pairs, config: PenaltyConfig) -> np.ndarray:
 
     ``pairs`` is an integer array of shape (M, 2) of (start, end) bounds.
     The costs are a fresh ``_Search``'s (repeated or reordered pairs get
-    the same bits), so each matches ``segment_cost(...).penalized_cost``
-    within the rounding of the cumulative sums.  Raises
-    AdaptiveUnavailableError for an adaptive segment without least-squares
-    weights when ``config.adaptive_fallback`` is off.
+    the same bits), so each matches ``segment_cost(...).penalized_cost``,
+    the minimum of the objective ``config`` fixes, within the rounding of
+    the cumulative sums.
     """
     pairs = np.asarray(pairs, dtype=np.int64)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
@@ -287,9 +293,7 @@ def _chunk_costs(dataset, pairs, G, b, yy, config):
         phi, _ = _least_squares(dataset, pairs, G, b)
         return solvers.gram_objective(G, b, yy, 0.0, phi), phi
 
-    lengths = pairs[:, 1] - pairs[:, 0]
-    lam = config.lambda_scale * lengths.astype(np.float64) ** config.rho
-    gamma = 1.0 if config.family == FAMILY_ADAPTIVE else config.gamma
+    lam, gamma = _lambdas(config, pairs), config.exponent
     if gamma != 1.0:
         # ridge in closed form, which starts both bridges
         phi = np.linalg.solve(G + lam[:, None, None] * np.eye(p), b[..., None])[..., 0]
@@ -303,19 +307,13 @@ def _chunk_costs(dataset, pairs, G, b, yy, config):
                 phi[i] = solvers._bridge_smooth(G[i], b[i], yy[i], lam[i], gamma, phi[i])
         if gamma != 2.0:
             # the reported bridge fit is clamped, and so is its cost
-            phi[np.abs(phi) <= config.effective_zero_clamp] = 0.0
+            phi[np.abs(phi) <= config.zero_clamp] = 0.0
         return solvers.gram_objective(G, b, yy, lam, phi, gamma), phi
 
     w = np.ones((b.shape[0], p))
     if config.family == FAMILY_ADAPTIVE:
         phi, full = _least_squares(dataset, pairs, G, b)
         w = _adaptive_weights(phi, full, config.g)
-        if not config.adaptive_fallback and not full.all():
-            a, bnd = pairs[np.argmin(full)]
-            raise AdaptiveUnavailableError(
-                f"segment ({a}, {bnd}] has no least-squares weights: it is "
-                f"shorter than p={p} or its Gram matrix is singular"
-            )
     thr = lam[:, None] * w / 2.0
     phi, stalled = solvers._batch_cd(G, b, thr, config.cd_tolerance, config.cd_max_iterations)
     # a problem that used the whole sweep budget keeps its cost only if its
@@ -565,9 +563,10 @@ def _block_bounds(stats, first, last, i, j, slack: float) -> np.ndarray:
 def _incumbent_costs(search: _Search, pairs) -> np.ndarray:
     """Attained objective of each segment in ``pairs`` without a solve.
 
-    Each segment's least-squares fit (``_least_squares``) is scored with the
-    weights it implies (for an adaptive segment without least-squares
-    weights, the unit weights of the engine's fallback), and the zero fit
+    Each segment's least-squares fit (``_least_squares``) is scored under
+    the engine's lambda and exponent, an adaptive one with the weights it
+    implies (without least-squares weights, the unit weights of the
+    engine's fallback), and the zero fit
     with y'y; the lesser value is taken.  Both are values of the
     segment's objective at a point, so each is at least its minimum, up
     to the tolerance of the solver that computes that minimum.
@@ -576,13 +575,9 @@ def _incumbent_costs(search: _Search, pairs) -> np.ndarray:
     out = np.empty(len(pairs))
     for sl, G, b, yy in _segment_stacks(search.stats, pairs):
         phi, full = _least_squares(search.dataset, pairs[sl], G, b)
-        lam = config.lambda_scale * (pairs[sl, 1] - pairs[sl, 0]).astype(np.float64) ** config.rho
-        if config.family == FAMILY_ADAPTIVE:
-            w = _adaptive_weights(phi, full, config.g)
-            value = solvers.gram_objective(G, b, yy, lam, phi, weights=w)
-        else:
-            value = solvers.gram_objective(G, b, yy, lam, phi, config.gamma)
-        out[sl] = np.minimum(value, yy)
+        w = _adaptive_weights(phi, full, config.g) if config.family == FAMILY_ADAPTIVE else None
+        lam = _lambdas(config, pairs[sl])
+        out[sl] = np.minimum(solvers.gram_objective(G, b, yy, lam, phi, config.exponent, w), yy)
     return out
 
 

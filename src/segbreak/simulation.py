@@ -14,6 +14,7 @@ worker processes.
 
 from __future__ import annotations
 
+import numbers
 import operator
 import warnings
 from collections import Counter
@@ -100,13 +101,27 @@ class ErrorSpec:
         return self.std * np.sqrt((self.df - 2.0) / self.df) * rng.standard_t(self.df, size)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int if it is an integer or an integral float (not a
+    bool or a string); otherwise ValueError naming the field ``name``."""
+    if _is_number(value) and (isinstance(value, numbers.Integral) or float(value).is_integer()):
+        return int(value)
+    raise ValueError(f"{name!r} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class ScenarioSpec:
     """Complete description of a simulated dataset.
 
     ``breakpoints`` are the true interior breakpoints, ``coefficient_vectors``
-    has one row per regime.  ``covariate_means`` of None materializes the
-    study-design default for the given p.
+    has one row per regime, and adjacent regimes must differ.
+    ``covariate_means`` of None materializes the study-design default for
+    the given p.  ``n``, the breakpoints and ``seed`` may be integral floats;
+    a value of the wrong type raises ValueError naming its field.
     """
 
     n: int
@@ -119,10 +134,19 @@ class ScenarioSpec:
     error_df: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(
-            self, "breakpoints", tuple(int(b) for b in self.breakpoints)
-        )
+        object.__setattr__(self, "n", _integer("n", self.n))
+        try:
+            bps = tuple(_integer("breakpoints", b) for b in self.breakpoints)
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"'breakpoints' must be a sequence of integers, got {self.breakpoints!r}"
+            ) from None
+        object.__setattr__(self, "breakpoints", bps)
+        object.__setattr__(self, "seed", _integer("seed", self.seed))
+        if not _is_number(self.error_std):
+            raise ValueError(f"'error_std' must be a number, got {self.error_std!r}")
+        if not (self.error_df is None or _is_number(self.error_df)):
+            raise ValueError(f"'error_df' must be a number or None, got {self.error_df!r}")
         coef = _readonly(self.coefficient_vectors, ndmin=2)
         object.__setattr__(self, "coefficient_vectors", coef)
         if coef.shape[1] == 0:
@@ -132,6 +156,9 @@ class ScenarioSpec:
                 f"{len(self.breakpoints)} breakpoints imply "
                 f"{len(self.breakpoints) + 1} regimes, got {coef.shape[0]} rows"
             )
+        same = np.flatnonzero((coef[1:] == coef[:-1]).all(axis=1))
+        if len(same):
+            raise ValueError(f"'coefficient_vectors' rows {same[0]} and {same[0] + 1} are equal")
         means = (
             default_covariate_means(coef.shape[1])
             if self.covariate_means is None

@@ -177,10 +177,33 @@ class TestPenaltyConfig:
         assert PenaltyConfig(cd_max_iterations=np.int64(50)).cd_max_iterations == 50
 
     def test_zero_clamp_defaults(self):
-        assert PenaltyConfig().effective_zero_clamp == 0.0
-        assert PenaltyConfig(family="lasso_type", gamma=1.0).effective_zero_clamp == 0.0
-        assert PenaltyConfig(family="lasso_type", gamma=1.5).effective_zero_clamp == 1e-10
-        assert PenaltyConfig(family="lasso_type", gamma=1.5, zero_clamp=1e-6).effective_zero_clamp == 1e-6
+        assert PenaltyConfig().zero_clamp == 0.0
+        assert PenaltyConfig(family="lasso_type", gamma=1.0).zero_clamp == 0.0
+        assert PenaltyConfig(family="lasso_type", gamma=1.5).zero_clamp == 1e-10
+        assert PenaltyConfig(family="lasso_type", gamma=2.0).zero_clamp == 1e-10
+        assert PenaltyConfig(family="lasso_type", gamma=0.5).zero_clamp == 1e-10
+
+    @pytest.mark.parametrize(
+        "kwargs, exponent",
+        [({}, 1.0), ({"gamma": 1.5}, 1.0), ({"family": "lasso_type", "gamma": 1.0}, 1.0),
+         ({"family": "lasso_type", "gamma": 1.5}, 1.5),
+         ({"family": "lasso_type", "gamma": 2.0}, 2.0),
+         ({"family": "lasso_type", "gamma": 0.5}, 0.5)],
+        ids=["adaptive", "adaptive-ignores-gamma", "lasso", "bridge-1.5", "ridge", "bridge-0.5"],
+    )
+    def test_exponent(self, kwargs, exponent):
+        # the adaptive penalty is a weighted l1 norm whatever gamma says
+        assert PenaltyConfig(**kwargs).exponent == exponent
+
+    @pytest.mark.parametrize(
+        "knob", [{"zero_clamp": 1e-6}, {"adaptive_fallback": False}],
+        ids=["zero-clamp", "adaptive-fallback"],
+    )
+    def test_fixed_rules_take_no_argument(self, knob):
+        # the clamp follows from the exponent, and an adaptive segment
+        # without least-squares weights always falls back to the lasso
+        with pytest.raises(TypeError):
+            PenaltyConfig(**knob)
 
 
 class TestCriterionConfig:

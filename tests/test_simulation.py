@@ -131,6 +131,41 @@ class TestScenarioSpec:
         with pytest.raises(ValueError, match=repr(field)):
             ScenarioSpec(n=50, breakpoints=(), **values)
 
+    @pytest.mark.parametrize(
+        "field, values",
+        [("n", {"n": 50.7}), ("n", {"n": "50"}), ("n", {"n": True}),
+         ("breakpoints", {"breakpoints": (20.9, 35)}), ("breakpoints", {"breakpoints": 20}),
+         ("breakpoints", {"breakpoints": "20"}), ("breakpoints", {"breakpoints": (True, 35)}),
+         ("seed", {"seed": 1.5}), ("seed", {"seed": "1"}), ("seed", {"seed": None}),
+         ("error_std", {"error_std": "x"}), ("error_std", {"error_std": None}),
+         ("error_df", {"error_df": "x"})],
+        ids=["n-fraction", "n-string", "n-bool", "breakpoint-fraction", "breakpoints-scalar",
+             "breakpoints-string", "breakpoint-bool", "seed-fraction", "seed-string",
+             "seed-none", "error-std-string", "error-std-none", "error-df-string"],
+    )
+    def test_value_of_wrong_type_rejected(self, field, values):
+        # these were truncated (50.7 to 50), kept (seed 1.5, n '50') or
+        # failed with a bare TypeError
+        spec = {"n": 50, "breakpoints": (20, 35), "coefficient_vectors": [[1.0], [2.0], [3.0]]}
+        with pytest.raises(ValueError, match=repr(field)):
+            ScenarioSpec(**{**spec, **values})
+
+    def test_integral_floats_accepted(self):
+        spec = ScenarioSpec(
+            n=50.0, breakpoints=(20.0, np.int64(35)), coefficient_vectors=[[1.0], [2.0], [3.0]],
+            seed=np.float64(3.0), error_std=2, error_df=None,
+        )
+        assert (spec.n, spec.breakpoints, spec.seed) == (50, (20, 35), 3)
+        assert all(type(v) is int for v in (spec.n, *spec.breakpoints, spec.seed))
+
+    def test_identical_adjacent_regimes_rejected(self):
+        # this used to raise only when the first replication was drawn,
+        # after any worker pool had started
+        coef = [[1.0, 2.0], [1.0, 2.0], [0.0, 2.0]]
+        with pytest.raises(ValueError, match="'coefficient_vectors' rows 0 and 1"):
+            ScenarioSpec(n=50, breakpoints=(20, 35), coefficient_vectors=coef)
+        ScenarioSpec(n=50, breakpoints=(20, 35), coefficient_vectors=[[1.0, 2.0], [0.0, 2.0], [1.0, 2.0]])
+
     def test_error_spec_passthrough(self):
         spec = ScenarioSpec(
             n=50,
