@@ -50,7 +50,6 @@ from .model import (
     center_columns,
     effective_min_seg_len,
     segment_ranges,
-    validate_dataset,
 )
 from .segmentation import (
     lambda_for_segment,
@@ -211,7 +210,6 @@ def _input_doc(args) -> dict:
 def _load_dataset(args) -> Dataset:
     matrix = _read_matrix(args.input, args.header, args.delimiter)
     dataset = Dataset(y=matrix[:, 0], X=matrix[:, 1:])
-    validate_dataset(dataset)
     if args.center:
         dataset = center_columns(dataset)
     return dataset

@@ -98,15 +98,50 @@ class TruthInfo:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Response vector, design matrix, and optional ground truth."""
+    """Response vector, design matrix, and optional ground truth.  They are
+    checked at construction (shapes, finiteness, the truth's fit to the
+    sample), which raises DimensionMismatchError or NonFiniteValueError."""
 
     y: np.ndarray
     X: np.ndarray
     truth: TruthInfo | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "y", _readonly(self.y))
-        object.__setattr__(self, "X", _readonly(self.X))
+        y, X = _readonly(self.y), _readonly(self.X)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "X", X)
+        if y.ndim != 1:
+            raise DimensionMismatchError(f"y must be 1-d, got shape {y.shape}")
+        if X.ndim != 2:
+            raise DimensionMismatchError(f"X must be 2-d, got shape {X.shape}")
+        if y.shape[0] != X.shape[0]:
+            raise DimensionMismatchError(
+                f"y has {y.shape[0]} samples but X has {X.shape[0]} rows"
+            )
+        if y.shape[0] < 1 or X.shape[1] < 1:
+            raise DimensionMismatchError("need at least one sample and one covariate")
+        if not np.all(np.isfinite(y)):
+            raise NonFiniteValueError("y contains non-finite values")
+        if not np.all(np.isfinite(X)):
+            raise NonFiniteValueError("X contains non-finite values")
+        truth = self.truth
+        if truth is not None:
+            n, p = self.n, self.p
+            if truth.coefficients.shape[1] != p:
+                raise DimensionMismatchError(
+                    f"truth coefficients have {truth.coefficients.shape[1]} "
+                    f"columns but X has {p}"
+                )
+            if any(not 1 <= b <= n - 1 for b in truth.breakpoints):
+                raise DimensionMismatchError(
+                    f"truth breakpoints {truth.breakpoints} outside 1..{n - 1}"
+                )
+            if truth.noise is not None and truth.noise.shape != (n,):
+                raise DimensionMismatchError(
+                    f"truth noise has shape {truth.noise.shape}, expected ({n},)"
+                )
+            if not np.all(np.isfinite(truth.coefficients)):
+                raise NonFiniteValueError("truth coefficients contain non-finite values")
 
     @property
     def n(self) -> int:
@@ -303,48 +338,6 @@ class ChangePointFit:
                 f"k={self.k} requires {self.k + 1} segment fits, "
                 f"got {len(self.segment_fits)}"
             )
-
-
-def validate_dataset(dataset: Dataset) -> Dataset:
-    """Check array shapes, finiteness, and truth consistency.
-
-    Returns the dataset unchanged so the call can be chained.  Raises
-    DimensionMismatchError or NonFiniteValueError on violation.
-    """
-    y, X = dataset.y, dataset.X
-    if y.ndim != 1:
-        raise DimensionMismatchError(f"y must be 1-d, got shape {y.shape}")
-    if X.ndim != 2:
-        raise DimensionMismatchError(f"X must be 2-d, got shape {X.shape}")
-    if y.shape[0] != X.shape[0]:
-        raise DimensionMismatchError(
-            f"y has {y.shape[0]} samples but X has {X.shape[0]} rows"
-        )
-    if y.shape[0] < 1 or X.shape[1] < 1:
-        raise DimensionMismatchError("need at least one sample and one covariate")
-    if not np.all(np.isfinite(y)):
-        raise NonFiniteValueError("y contains non-finite values")
-    if not np.all(np.isfinite(X)):
-        raise NonFiniteValueError("X contains non-finite values")
-    truth = dataset.truth
-    if truth is not None:
-        n, p = dataset.n, dataset.p
-        if truth.coefficients.shape[1] != p:
-            raise DimensionMismatchError(
-                f"truth coefficients have {truth.coefficients.shape[1]} "
-                f"columns but X has {p}"
-            )
-        if any(not 1 <= b <= n - 1 for b in truth.breakpoints):
-            raise DimensionMismatchError(
-                f"truth breakpoints {truth.breakpoints} outside 1..{n - 1}"
-            )
-        if truth.noise is not None and truth.noise.shape != (n,):
-            raise DimensionMismatchError(
-                f"truth noise has shape {truth.noise.shape}, expected ({n},)"
-            )
-        if not np.all(np.isfinite(truth.coefficients)):
-            raise NonFiniteValueError("truth coefficients contain non-finite values")
-    return dataset
 
 
 def center_columns(dataset: Dataset) -> Dataset:

@@ -54,7 +54,6 @@ from .model import (
     SegmentRange,
     effective_min_seg_len,
     segment_ranges,
-    validate_dataset,
 )
 from . import solvers
 
@@ -64,6 +63,15 @@ def _as_range(rng) -> SegmentRange:
         return rng
     start, end = rng
     return SegmentRange(start, end)
+
+
+def _segment_rows(dataset: Dataset, rng):
+    """The SegmentRange of ``rng`` and its rows of ``X`` and ``y``;
+    EmptySegmentError if it ends past the sample."""
+    rng = _as_range(rng)
+    if rng.end > dataset.n:
+        raise EmptySegmentError(f"segment end {rng.end} exceeds n={dataset.n}")
+    return rng, dataset.X[rng.start : rng.end], dataset.y[rng.start : rng.end]
 
 
 def lambda_for_segment(rng, rho: float) -> float:
@@ -95,11 +103,7 @@ def adaptive_weights(dataset: Dataset, rng, g: float) -> np.ndarray:
     # config-level validation pins g inside (0, 1/4); the raw op only needs g > 0
     if g <= 0.0:
         raise ValueError(f"g must be positive, got {g}")
-    rng = _as_range(rng)
-    if rng.end > dataset.n:
-        raise EmptySegmentError(f"segment end {rng.end} exceeds n={dataset.n}")
-    X = dataset.X[rng.start : rng.end]
-    y = dataset.y[rng.start : rng.end]
+    rng, X, y = _segment_rows(dataset, rng)
     if rng.length < dataset.p:
         raise AdaptiveUnavailableError(
             f"segment of length {rng.length} cannot support least squares "
@@ -125,11 +129,7 @@ def segment_cost(dataset: Dataset, rng, config: PenaltyConfig):
     unavailable falls back to the unweighted lasso and reports
     ``weights_used`` as None.
     """
-    rng = _as_range(rng)
-    if rng.end > dataset.n:
-        raise EmptySegmentError(f"segment end {rng.end} exceeds n={dataset.n}")
-    X = dataset.X[rng.start : rng.end]
-    y = dataset.y[rng.start : rng.end]
+    rng, X, y = _segment_rows(dataset, rng)
     pairs = np.array([[rng.start, rng.end]], dtype=np.int64)
     G, b = (X.T @ X)[None], (X.T @ y)[None]
     _, coefs = _chunk_costs(dataset, pairs, G, b, np.array([y @ y]), config)
@@ -719,9 +719,8 @@ def _check_feasible(n: int, k: int, min_seg_len: int):
 
 
 def _checked_search(dataset: Dataset, config: PenaltyConfig, criterion) -> _Search:
-    """The ``_Search`` of a request on a checked dataset; each K-break fit
-    checks its K (``_check_feasible``)."""
-    validate_dataset(dataset)
+    """The ``_Search`` of a request at its minimum segment length; each
+    K-break fit checks its K (``_check_feasible``)."""
     return _Search(dataset, config, effective_min_seg_len(config, criterion, dataset.p))
 
 

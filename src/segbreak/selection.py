@@ -37,7 +37,6 @@ from .model import (
     Dataset,
     PenaltyConfig,
     segment_ranges,
-    validate_dataset,
 )
 from .segmentation import _checked_search, _dense_fits, _two_stage_fit
 from .solvers import _GRAM_COND_FLOOR
@@ -170,7 +169,6 @@ def active_set_standard_errors(
             f"standard errors are defined for adaptive-family fits, "
             f"got {fit.family!r}"
         )
-    validate_dataset(dataset)
     ranges = segment_ranges(fit.breakpoints, dataset.n)
     total_active = sum(len(f.active_set) for f in fit.segment_fits)
     dof = dataset.n - total_active

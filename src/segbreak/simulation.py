@@ -113,6 +113,18 @@ def _integer(name: str, value) -> int:
     raise ValueError(f"{name!r} must be an integer, got {value!r}")
 
 
+def _numbers(name: str, value, ndim: int) -> np.ndarray:
+    """``value`` as an array if it is a rectangular array of integers or floats
+    of at most ``ndim`` dimensions; otherwise ValueError naming the field."""
+    try:
+        array = np.asarray(value)
+    except ValueError:  # ragged
+        array = None
+    if array is None or array.dtype.kind not in "iuf" or array.ndim > ndim:
+        raise ValueError(f"{name!r} must be a {ndim}-d array of numbers, got {value!r}")
+    return array
+
+
 @dataclass(frozen=True, eq=False)
 class ScenarioSpec:
     """Complete description of a simulated dataset.
@@ -147,7 +159,7 @@ class ScenarioSpec:
             raise ValueError(f"'error_std' must be a number, got {self.error_std!r}")
         if not (self.error_df is None or _is_number(self.error_df)):
             raise ValueError(f"'error_df' must be a number or None, got {self.error_df!r}")
-        coef = _readonly(self.coefficient_vectors, ndmin=2)
+        coef = _readonly(_numbers("coefficient_vectors", self.coefficient_vectors, 2), ndmin=2)
         object.__setattr__(self, "coefficient_vectors", coef)
         if coef.shape[1] == 0:
             raise ValueError("'coefficient_vectors' must hold at least one column")
@@ -162,7 +174,7 @@ class ScenarioSpec:
         means = (
             default_covariate_means(coef.shape[1])
             if self.covariate_means is None
-            else np.asarray(self.covariate_means, dtype=np.float64)
+            else _numbers("covariate_means", self.covariate_means, 1)
         )
         if means.shape != (coef.shape[1],):
             raise ValueError(

@@ -550,10 +550,11 @@ class TestSimulate:
          ("error_std", math.nan, "error_std"), ("error_std", math.inf, "error_std"),
          ("coefficients", [[math.nan, 0.0], [0.0, -3.0]], "coefficient_vectors"),
          ("covariate_means", [math.inf, 0.0], "covariate_means"),
-         ("coefficients", [[]], "coefficient_vectors")],
+         ("coefficients", [[]], "coefficient_vectors"),
+         ("coefficients", [[3.0, 0.0], [0.0]], "coefficient_vectors")],
         ids=["breakpoints-int", "breakpoints-fraction", "error-std-string", "error-std-null",
              "error-std-nan", "error-std-infinity", "coefficient-nan", "mean-infinity",
-             "no-coefficients"],
+             "no-coefficients", "coefficients-ragged"],
     )
     def test_scenario_value_of_wrong_type(self, capsys, scenario_file, tmp_path, key, value, named):
         # these crashed with a bare TypeError, truncated 20.5 to 20, or

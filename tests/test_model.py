@@ -19,7 +19,6 @@ from segbreak import (
     center_columns,
     effective_min_seg_len,
     segment_ranges,
-    validate_dataset,
 )
 
 
@@ -30,26 +29,70 @@ def _dataset(n=6, p=2, seed=0):
     return Dataset(y=y, X=X)
 
 
+_TRUTH = TruthInfo(breakpoints=(3,), coefficients=[[1.0, 0.0], [0.0, 1.0]])
+
+
 class TestValidateDataset:
+    """A Dataset checks itself at construction: every malformed sample
+    raises there, with its class and message."""
+
     def test_well_formed_passes(self):
         ds = Dataset(y=np.zeros(3), X=np.ones((3, 2)))
-        assert validate_dataset(ds) is ds
+        assert (ds.n, ds.p) == (3, 2)
+        assert not ds.y.flags.writeable and not ds.X.flags.writeable
+        ds = Dataset(y=np.zeros(6), X=np.ones((6, 2)), truth=_TRUTH)
+        assert ds.truth is _TRUTH
 
     def test_row_count_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            validate_dataset(Dataset(y=np.zeros(3), X=np.ones((4, 2))))
+        with pytest.raises(DimensionMismatchError, match="^y has 3 samples but X has 4 rows$"):
+            Dataset(y=np.zeros(3), X=np.ones((4, 2)))
 
     def test_non_finite_entry(self):
         X = np.ones((3, 2))
         X[1, 0] = np.nan
-        with pytest.raises(NonFiniteValueError):
-            validate_dataset(Dataset(y=np.zeros(3), X=X))
+        with pytest.raises(NonFiniteValueError, match="^X contains non-finite values$"):
+            Dataset(y=np.zeros(3), X=X)
 
     def test_non_finite_response(self):
         y = np.zeros(3)
         y[2] = np.inf
-        with pytest.raises(NonFiniteValueError):
-            validate_dataset(Dataset(y=y, X=np.ones((3, 2))))
+        with pytest.raises(NonFiniteValueError, match="^y contains non-finite values$"):
+            Dataset(y=y, X=np.ones((3, 2)))
+
+    @pytest.mark.parametrize(
+        "y, X, message",
+        [
+            (np.zeros((3, 1)), np.ones((3, 2)), "y must be 1-d, got shape (3, 1)"),
+            (np.zeros(3), np.ones(3), "X must be 2-d, got shape (3,)"),
+            (np.zeros(3), np.ones((3, 2, 1)), "X must be 2-d, got shape (3, 2, 1)"),
+            (np.zeros(0), np.ones((0, 2)), "need at least one sample and one covariate"),
+            (np.zeros(3), np.ones((3, 0)), "need at least one sample and one covariate"),
+        ],
+        ids=["2-d-y", "1-d-X", "3-d-X", "no-rows", "no-columns"],
+    )
+    def test_malformed_shape_rejected(self, y, X, message):
+        with pytest.raises(DimensionMismatchError) as exc:
+            Dataset(y=y, X=X)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "n, truth, error, message",
+        [
+            (6, TruthInfo(breakpoints=(3,), coefficients=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+             DimensionMismatchError, "truth coefficients have 3 columns but X has 2"),
+            (3, _TRUTH, DimensionMismatchError, "truth breakpoints (3,) outside 1..2"),
+            (6, TruthInfo(breakpoints=(3,), coefficients=_TRUTH.coefficients, noise=np.zeros(5)),
+             DimensionMismatchError, "truth noise has shape (5,), expected (6,)"),
+            (6, TruthInfo(breakpoints=(3,), coefficients=[[1.0, np.nan], [0.0, 1.0]]),
+             NonFiniteValueError, "truth coefficients contain non-finite values"),
+        ],
+        ids=["truth-columns", "truth-breakpoint-at-n",
+             "truth-noise-shape", "truth-non-finite"],
+    )
+    def test_inconsistent_truth_rejected(self, n, truth, error, message):
+        with pytest.raises(error) as exc:
+            Dataset(y=np.zeros(n), X=np.ones((n, 2)), truth=truth)
+        assert str(exc.value) == message
 
     def test_shapes(self):
         ds = _dataset(n=7, p=3)
@@ -75,9 +118,8 @@ class TestTruthInfo:
 
     def test_truth_bounds_checked_against_sample(self):
         truth = TruthInfo(breakpoints=(9,), coefficients=[[1.0, 0.0], [0.0, 1.0]])
-        ds = Dataset(y=np.zeros(6), X=np.ones((6, 2)), truth=truth)
-        with pytest.raises(DimensionMismatchError):
-            validate_dataset(ds)
+        with pytest.raises(DimensionMismatchError, match=r"^truth breakpoints \(9,\) outside 1\.\.5$"):
+            Dataset(y=np.zeros(6), X=np.ones((6, 2)), truth=truth)
 
 
 class TestSegmentRange:

@@ -12,9 +12,11 @@ from segbreak import (
     ConsistencyError,
     CriterionConfig,
     Dataset,
+    DimensionMismatchError,
     EmptySegmentError,
     InfeasiblePartitionError,
     NoConvergenceError,
+    NonFiniteValueError,
     PenaltyConfig,
     SegmentRange,
     TruthInfo,
@@ -212,9 +214,35 @@ class TestSegmentCost:
         assert fit.weights_used is None  # unweighted fallback
 
     def test_out_of_bounds_segment(self):
-        ds = _one_break(n=20)
+        ds = _one_break(n=20, b=10)
         with pytest.raises(EmptySegmentError):
             segment_cost(ds, (10, 25), PenaltyConfig())
+
+
+class TestMalformedSample:
+    @pytest.mark.parametrize(
+        "probe, error, message",
+        [("nan-y", NonFiniteValueError, "y contains non-finite values"),
+         ("short-y", DimensionMismatchError, "y has 40 samples but X has 50 rows"),
+         ("1-d-X", DimensionMismatchError, "X must be 2-d, got shape (50,)")],
+        ids=["nan-y", "short-y", "1-d-X"],
+    )
+    def test_rejected_before_any_entry_point(self, probe, error, message):
+        # unchecked, a NaN response runs pair_costs and segment_cost to the
+        # sweep limit (NoConvergenceError) and gives adaptive_weights NaN
+        # weights; 40 responses against 50 rows give segment_cost a cost and
+        # pair_costs a broadcast error; a 1-d X gives segment_cost an IndexError
+        good = replication_dataset(table_preset(1)[0], 0)
+        y, X = good.y.copy(), good.X
+        if probe == "nan-y":
+            y[10] = np.nan
+        elif probe == "short-y":
+            y = y[:40]
+        else:
+            X = X[:, 0]
+        with pytest.raises(error) as exc:
+            Dataset(y=y, X=X)
+        assert str(exc.value) == message
 
 
 _EVERY_FAMILY = pytest.mark.parametrize(
@@ -326,7 +354,7 @@ class TestPairCosts:
         assert single.penalized_cost == pytest.approx(scalar.penalized_cost, rel=1e-9)
 
     def test_rejects_bad_pairs(self):
-        ds = _one_break(n=20)
+        ds = _one_break(n=20, b=10)
         with pytest.raises(EmptySegmentError):
             pair_costs(ds, np.array([[5, 5]]), PenaltyConfig())
         with pytest.raises(EmptySegmentError):
@@ -335,7 +363,7 @@ class TestPairCosts:
             pair_costs(ds, np.zeros((2, 3), dtype=int), PenaltyConfig())
 
     def test_empty_input(self):
-        ds = _one_break(n=20)
+        ds = _one_break(n=20, b=10)
         assert pair_costs(ds, np.empty((0, 2), dtype=int), PenaltyConfig()).shape == (0,)
 
 

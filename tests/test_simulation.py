@@ -138,14 +138,25 @@ class TestScenarioSpec:
          ("breakpoints", {"breakpoints": "20"}), ("breakpoints", {"breakpoints": (True, 35)}),
          ("seed", {"seed": 1.5}), ("seed", {"seed": "1"}), ("seed", {"seed": None}),
          ("error_std", {"error_std": "x"}), ("error_std", {"error_std": None}),
-         ("error_df", {"error_df": "x"})],
+         ("error_df", {"error_df": "x"}),
+         ("coefficient_vectors", {"coefficient_vectors": "x"}),
+         ("coefficient_vectors", {"coefficient_vectors": [[1.0, 2.0], [1.0]]}),
+         ("coefficient_vectors", {"coefficient_vectors": [[[1.0]], [[2.0]], [[3.0]]]}),
+         ("coefficient_vectors", {"coefficient_vectors": [["1.0"], ["2.0"], ["3.0"]]}),
+         ("covariate_means", {"covariate_means": ["a"]}),
+         ("covariate_means", {"covariate_means": [[0.0, 1.0], [0.0]]}),
+         ("covariate_means", {"covariate_means": [0.0, None]})],
         ids=["n-fraction", "n-string", "n-bool", "breakpoint-fraction", "breakpoints-scalar",
              "breakpoints-string", "breakpoint-bool", "seed-fraction", "seed-string",
-             "seed-none", "error-std-string", "error-std-none", "error-df-string"],
+             "seed-none", "error-std-string", "error-std-none", "error-df-string",
+             "coefficients-string", "coefficients-ragged", "coefficients-3-d",
+             "coefficients-numeric-strings", "means-string", "means-ragged", "means-none"],
     )
     def test_value_of_wrong_type_rejected(self, field, values):
-        # these were truncated (50.7 to 50), kept (seed 1.5, n '50') or
-        # failed with a bare TypeError
+        # these were truncated (50.7 to 50), kept (seed 1.5, n '50'), failed
+        # with a bare TypeError or with numpy's messages, which do not name
+        # the field; 3-d coefficients read as p = 1 failed only when a
+        # replication was drawn
         spec = {"n": 50, "breakpoints": (20, 35), "coefficient_vectors": [[1.0], [2.0], [3.0]]}
         with pytest.raises(ValueError, match=repr(field)):
             ScenarioSpec(**{**spec, **values})
